@@ -14,6 +14,11 @@
  *     (workload build + bitmaps + pin plans + all 32 grid points),
  *     which is the unit of work a figure reproduction costs.
  *
+ * It also records the online-HDC ledger row: one web replay on FOR,
+ * 16 KiB stripe units and 2 MiB HDC under hdc.policy=online, next to
+ * the oracle replay of the same trace, so the cost of earning the pin
+ * set at run time is tracked as a ratio over the oracle.
+ *
  * Results go to BENCH_model.json in the working directory (override
  * with DTSIM_BENCH_OUT). The *_seed fields are the numbers this bench
  * produced at the default scale immediately before the slab/flat-table
@@ -95,14 +100,23 @@ struct ReplayResult
     double wallS = 0.0;
 };
 
+/**
+ * @param stripe_unit Stripe unit in bytes (0 = the default).
+ * @param policy The HDC host policy.
+ */
 ReplayResult
-measureReplay(WorkloadKind kind, double scale)
+measureReplay(WorkloadKind kind, double scale,
+              std::uint64_t stripe_unit = 0,
+              HdcPolicy policy = HdcPolicy::Oracle)
 {
     SweepSpec spec;
     spec.base.workload = kind;
     spec.base.scale = scale;
     spec.base.system.kind = SystemKind::FOR;
     spec.base.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+    spec.base.system.hdc.policy = policy;
+    if (stripe_unit)
+        spec.base.system.stripeUnitBytes = stripe_unit;
 
     std::string err;
     std::vector<SweepPoint> points = expandSweep(spec, err);
@@ -229,6 +243,15 @@ main()
                     static_cast<double>(r.requests) / r.wallS);
     }
 
+    // --- Online-HDC ledger row: online vs oracle, same trace. ---
+    const ReplayResult online = measureReplay(
+        WorkloadKind::Web, scale, 16 * kKiB, HdcPolicy::Online);
+    const ReplayResult oracle = measureReplay(
+        WorkloadKind::Web, scale, 16 * kKiB, HdcPolicy::Oracle);
+    std::printf("web    FOR 16 KiB 2 MiB online replay: %7.3f s, "
+                "oracle %7.3f s (%.2fx)\n",
+                online.wallS, oracle.wallS, online.wallS / oracle.wallS);
+
     // --- 2 & 3. Cold end-to-end fig07 web sweep, tracing off and
     // with a sampled trace (trace.sample=0.01, the "leave it on"
     // configuration docs/OBSERVABILITY.md recommends; the acceptance
@@ -281,6 +304,16 @@ main()
         std::fprintf(f, "}%s\n", i + 1 < replays.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    std::fprintf(f,
+                 "  \"online_hdc\": {\"workload\": \"web\", "
+                 "\"system\": \"for+hdc\",\n"
+                 "     \"stripe_unit_kib\": 16, \"hdc_kib\": 2048, "
+                 "\"requests\": %llu,\n"
+                 "     \"online_replay_wall_s\": %.3f, "
+                 "\"oracle_replay_wall_s\": %.3f,\n"
+                 "     \"online_over_oracle\": %.2f},\n",
+                 static_cast<unsigned long long>(online.requests),
+                 online.wallS, oracle.wallS, online.wallS / oracle.wallS);
     std::fprintf(f,
                  "  \"fig07_web_sweep\": {\"points\": %zu, \"jobs\": "
                  "%u, \"wall_s\": %.3f",

@@ -351,10 +351,12 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "online policy: count-min sketch rows (independent hash "
             "functions)");
     reg.add("hdc.sketch_cols", h.sketchCols,
-            "online policy: count-min sketch counters per row");
+            "online policy: count-min sketch counters per row (sketch "
+            "plus candidate pool must fit a 1 GiB state cap)");
     reg.add("hdc.candidate_blocks", h.candidateBlocks,
             "online policy: bound on the recency-held candidate "
-            "block pool the re-planner ranks");
+            "block pool the re-planner ranks (at most 2^32-2, and "
+            "sketch plus pool must fit a 1 GiB state cap)");
     reg.add("hdc.churn_threshold", h.churnThreshold,
             "online policy: epoch-over-epoch hot-set churn above "
             "which a phase change is declared and the next re-plan "
@@ -486,6 +488,22 @@ validateConfig(const SimulationConfig& sim)
         check(errs, sys.hdc.candidateBlocks >= 1,
               "hdc.candidate_blocks must be at least 1 under the "
               "online HDC policy");
+        check(errs,
+              sys.hdc.candidateBlocks <= HdcSpec::kMaxCandidateBlocks,
+              "hdc.candidate_blocks (" + u64s(sys.hdc.candidateBlocks) +
+                  ") must be at most " +
+                  u64s(HdcSpec::kMaxCandidateBlocks) +
+                  " (the candidate pool uses 32-bit slot indices)");
+        check(errs,
+              sys.hdc.onlineStateBytes() <= HdcSpec::kOnlineStateCapBytes,
+              "hdc.sketch_rows x hdc.sketch_cols (" +
+                  u64s(sys.hdc.sketchRows) + " x " +
+                  u64s(sys.hdc.sketchCols) +
+                  ") and hdc.candidate_blocks (" +
+                  u64s(sys.hdc.candidateBlocks) +
+                  ") need more than the online planner's " +
+                  u64s(HdcSpec::kOnlineStateCapBytes) +
+                  "-byte state cap; shrink the sketch or the pool");
     }
     check(errs,
           sys.hdc.churnThreshold >= 0 && sys.hdc.churnThreshold <= 1,

@@ -104,6 +104,35 @@ struct HdcSpec
     }
 
     /**
+     * Cap on the state the online planner pre-allocates (1 GiB).
+     * validateConfig rejects knobs above it, so an oversized sketch or
+     * pool fails as a config error instead of an allocation abort.
+     */
+    static constexpr std::uint64_t kOnlineStateCapBytes = 1ull << 30;
+
+    /** Largest candidate pool the planner's 32-bit slot indices hold. */
+    static constexpr std::uint64_t kMaxCandidateBlocks = 0xfffffffeull;
+
+    /**
+     * Bytes of online-planner state these knobs ask for, saturating
+     * at UINT64_MAX: 4 bytes and a changed bit per sketch counter, and
+     * 96 bytes per candidate (pool slot, index entry, re-plan scratch).
+     */
+    std::uint64_t
+    onlineStateBytes() const
+    {
+        std::uint64_t cells = 0, pool = 0, total = 0;
+        if (__builtin_mul_overflow(std::uint64_t{sketchRows}, sketchCols,
+                                   &cells) ||
+            cells > UINT64_MAX / 5 ||
+            __builtin_mul_overflow(candidateBlocks, std::uint64_t{96},
+                                   &pool) ||
+            __builtin_add_overflow(4 * cells + cells / 8, pool, &total))
+            return UINT64_MAX;
+        return total;
+    }
+
+    /**
      * True when the hdc.* group must appear in effective-config
      * headers: the policy or an online knob left the state the legacy
      * system.hdc_* keys can express. Keeping the group elided

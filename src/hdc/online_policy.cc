@@ -23,33 +23,52 @@ mix64(std::uint64_t x)
 OnlineHdcPolicy::OnlineHdcPolicy(DiskArray& array, const HdcSpec& spec)
     : array_(array), spec_(spec),
       capacityBlocks_(array.controller(0).hdcCapacityBlocks()),
-      rows_(spec.sketchRows), cols_(spec.sketchCols),
-      pinnedPerDisk_(array.striping().disks())
+      rows_(spec.sketchRows), cols_(spec.sketchCols), pool_(0),
+      pinnedPerDisk_(array.striping().disks()),
+      ranked_(array.striping().disks()),
+      keyHist_(array.striping().disks() * kKeyBuckets)
 {
     if (rows_ == 0 || cols_ == 0)
         fatal("OnlineHdcPolicy: sketch must have rows and columns");
     if (spec_.candidateBlocks == 0)
         fatal("OnlineHdcPolicy: candidate pool must be > 0 blocks");
-    sketch_.assign(static_cast<std::size_t>(rows_) * cols_, 0);
+    if (spec_.candidateBlocks > HdcSpec::kMaxCandidateBlocks ||
+        spec_.onlineStateBytes() > HdcSpec::kOnlineStateCapBytes)
+        fatal("OnlineHdcPolicy: sketch and candidate pool exceed the "
+              "%llu-byte state cap",
+              static_cast<unsigned long long>(
+                  HdcSpec::kOnlineStateCapBytes));
+    const std::size_t cells = static_cast<std::size_t>(rows_) * cols_;
+    sketch_.assign(cells, 0);
+    cells_.assign(rows_, 0);
+    changed_.assign((cells + 63) / 64, 0);
+    pool_ = Slab<Candidate>(
+        static_cast<std::uint32_t>(spec_.candidateBlocks));
+    slotOf_.reserve(spec_.candidateBlocks);
+    for (FlatTable<std::uint64_t>& pins : pinnedPerDisk_)
+        pins.reserve(capacityBlocks_);
 }
 
-std::size_t
-OnlineHdcPolicy::slot(unsigned r, ArrayBlock block) const
+void
+OnlineHdcPolicy::hashCells(ArrayBlock block)
 {
-    // Salt the block with the row index so the rows hash
-    // independently.
-    const std::uint64_t h =
-        mix64(block + 0x9e3779b97f4a7c15ull * (r + 1));
-    return static_cast<std::size_t>(r) * cols_ + h % cols_;
+    for (unsigned r = 0; r < rows_; ++r) {
+        // Salt the block with the row index so the rows hash
+        // independently.
+        const std::uint64_t h =
+            mix64(block + 0x9e3779b97f4a7c15ull * (r + 1));
+        cells_[r] = static_cast<std::uint32_t>(r * cols_ + h % cols_);
+    }
 }
 
-std::uint64_t
-OnlineHdcPolicy::estimate(ArrayBlock block) const
+void
+OnlineHdcPolicy::readEstimate(Candidate& c) const
 {
-    std::uint32_t est = UINT32_MAX;
-    for (unsigned r = 0; r < rows_; ++r)
-        est = std::min(est, sketch_[slot(r, block)]);
-    return est;
+    c.minCell = cells_[0];
+    for (unsigned r = 1; r < rows_; ++r)
+        if (sketch_[cells_[r]] < sketch_[c.minCell])
+            c.minCell = cells_[r];
+    c.est = sketch_[c.minCell];
 }
 
 void
@@ -58,33 +77,48 @@ OnlineHdcPolicy::sketchAdd(ArrayBlock block)
     // Conservative update: only raise the minimum counters, which
     // tightens the overestimate without losing the sketch's
     // no-underestimate guarantee.
+    hashCells(block);
     std::uint32_t est = UINT32_MAX;
     for (unsigned r = 0; r < rows_; ++r)
-        est = std::min(est, sketch_[slot(r, block)]);
+        est = std::min(est, sketch_[cells_[r]]);
     if (est == UINT32_MAX)
         return;  // Saturated; stop counting.
     for (unsigned r = 0; r < rows_; ++r) {
-        std::uint32_t& c = sketch_[slot(r, block)];
-        if (c == est)
-            ++c;
+        const std::uint32_t cell = cells_[r];
+        if (sketch_[cell] == est) {
+            ++sketch_[cell];
+            changed_[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+        }
     }
 }
 
 void
 OnlineHdcPolicy::touchCandidate(ArrayBlock block)
 {
-    auto it = candMap_.find(block);
-    if (it != candMap_.end()) {
-        candLru_.splice(candLru_.begin(), candLru_, it->second);
+    using Ops = SlabListOps<Candidate>;
+    if (const std::uint32_t* n = slotOf_.find(block)) {
+        Ops::moveToFront(pool_, lru_, *n);
         return;
     }
-    if (candMap_.size() >= spec_.candidateBlocks) {
-        const ArrayBlock old = candLru_.back();
-        candLru_.pop_back();
-        candMap_.erase(old);
+    std::uint32_t n;
+    if (lru_.size >= spec_.candidateBlocks) {
+        // Recycle the least recently missed candidate's slot.
+        n = lru_.tail;
+        slotOf_.erase(pool_[n].block);
+        Ops::unlink(pool_, lru_, n);
+    } else {
+        n = pool_.allocate();
     }
-    candLru_.push_front(block);
-    candMap_.emplace(block, candLru_.begin());
+    Candidate& c = pool_[n];
+    c.block = block;
+    c.disk = diskOf(block);
+    c.live = true;
+    readEstimate(c);  // cells_ still holds sketchAdd's hashes.
+    // A pinned block can leave the pool and return before the next
+    // re-plan unpins it.
+    c.pinned = pinnedPerDisk_[c.disk].contains(block);
+    Ops::pushFront(pool_, lru_, n);
+    slotOf_.insert(block, n);
 }
 
 void
@@ -92,7 +126,7 @@ OnlineHdcPolicy::observeMiss(ArrayBlock block)
 {
     ++counters_.misses;
     sketchAdd(block);
-    touchCandidate(block);
+    touchCandidate(block);  // Reads the estimate sketchAdd left.
 }
 
 void
@@ -107,99 +141,131 @@ OnlineHdcPolicy::ageSketch()
 {
     for (std::uint32_t& c : sketch_)
         c >>= 1;
+    rereadAll_ = true;
 }
 
 void
 OnlineHdcPolicy::replan()
 {
     ++counters_.replans;
+    toUnpin_.clear();
+    toPin_.clear();
     if (capacityBlocks_ == 0)
         return;  // No HDC budget: nothing ever pins.
 
     const unsigned disks = array_.striping().disks();
+    const std::uint64_t epoch = counters_.replans;
 
-    // Rank the candidate pool per owning disk: estimate descending,
-    // block ascending on ties — the same order the oracle planner
-    // uses, so a converged sketch reproduces the oracle's pin set.
-    struct Ranked
-    {
-        std::uint64_t est;
-        ArrayBlock block;
-    };
-    std::vector<std::vector<Ranked>> ranked(disks);
-    for (const ArrayBlock b : candLru_) {
-        const std::uint64_t est = estimate(b);
-        if (est == 0)
+    // Rank the candidate pool per owning disk: estimate descending
+    // with incumbent hysteresis, then pinned first, then block
+    // ascending. A pinned block scores est + 2, so a challenger must
+    // clear a margin above it. The host cache flattens the miss
+    // stream (every hot block recurs about once per cache cycle),
+    // which puts most of the region in one large estimate tie class;
+    // without the margin, aging transients (+-1) would rotate
+    // equal-value blocks through the region every epoch and fragment
+    // request coverage. Block ascending last matches the oracle
+    // planner's order, so a converged sketch reproduces the oracle's
+    // pin set.
+    //
+    // Counters only grow between agings, so an estimate can move
+    // only if the counter that produced it changed: re-read just
+    // those, or everything after an aging.
+    for (std::vector<Ranked>& r : ranked_)
+        r.clear();
+    std::fill(keyHist_.begin(), keyHist_.end(), 0);
+    for (std::uint32_t n = 0; n < pool_.capacity(); ++n) {
+        Candidate& c = pool_[n];
+        if (!c.live)
             continue;
-        ranked[array_.striping().toPhysical(b).disk].push_back(
-            Ranked{est, b});
+        if (rereadAll_ ||
+            ((changed_[c.minCell >> 6] >> (c.minCell & 63)) & 1)) {
+            hashCells(c.block);
+            readEstimate(c);
+        }
+        if (c.est == 0)
+            continue;
+        const std::uint64_t p = c.pinned ? 1 : 0;
+        const std::uint64_t key = ((c.est + 2 * p) << 1) | p;
+        ++keyHist_[c.disk * kKeyBuckets +
+                   std::min(key, kKeyBuckets - 1)];
+        ranked_[c.disk].push_back(Ranked{key, c.block, n});
     }
+    std::fill(changed_.begin(), changed_.end(), 0);
+    rereadAll_ = false;
 
     bool hadPins = false;
     std::uint64_t desiredTotal = 0;
     std::uint64_t overlap = 0;
-    std::vector<ArrayBlock> toUnpin;
-    std::vector<ArrayBlock> toPin;
 
     for (unsigned d = 0; d < disks; ++d) {
-        std::vector<Ranked>& r = ranked[d];
-        std::unordered_set<ArrayBlock>& cur = pinnedPerDisk_[d];
+        std::vector<Ranked>& r = ranked_[d];
+        FlatTable<std::uint64_t>& cur = pinnedPerDisk_[d];
         const std::size_t k = std::min<std::size_t>(
             r.size(), static_cast<std::size_t>(capacityBlocks_));
-        // Estimate descending with incumbent hysteresis: a pinned
-        // block scores est + 2, so a challenger must clear a margin
-        // above it. The host cache flattens the miss stream (every
-        // hot block recurs about once per cache cycle), which puts
-        // most of the
-        // region in one large estimate tie class; without the margin,
-        // aging transients (+-1) would rotate equal-value blocks
-        // through the region every epoch and fragment request
-        // coverage. Block ascending last, matching the oracle
-        // planner's order.
-        std::partial_sort(r.begin(), r.begin() + k, r.end(),
-                          [&cur](const Ranked& a, const Ranked& b) {
-                              const bool ap = cur.count(a.block) != 0;
-                              const bool bp = cur.count(b.block) != 0;
-                              const std::uint64_t ae = a.est + (ap ? 2 : 0);
-                              const std::uint64_t be = b.est + (bp ? 2 : 0);
-                              if (ae != be)
-                                  return ae > be;
-                              if (ap != bp)
-                                  return ap;
-                              return a.block < b.block;
-                          });
-        r.resize(k);
+        if (k < r.size()) {
+            // The order is total, so the top k are unique. Keys below
+            // the largest histogram bucket t with k keys at or above
+            // it cannot make the cut; select among the rest.
+            const std::uint32_t* hist = &keyHist_[d * kKeyBuckets];
+            std::uint64_t t = kKeyBuckets - 1;
+            for (std::size_t atOrAbove = hist[t]; atOrAbove < k;)
+                atOrAbove += hist[--t];
+            const auto end = std::partition(
+                r.begin(), r.end(),
+                [t](const Ranked& x) { return x.key >= t; });
+            std::nth_element(r.begin(), r.begin() + k, end,
+                             [](const Ranked& a, const Ranked& b) {
+                                 if (a.key != b.key)
+                                     return a.key > b.key;
+                                 return a.block < b.block;
+                             });
+        }
         desiredTotal += k;
-
-        std::unordered_set<ArrayBlock> desired;
-        desired.reserve(k * 2 + 1);
-        for (const Ranked& rk : r)
-            desired.insert(rk.block);
         hadPins = hadPins || !cur.empty();
-        for (const ArrayBlock b : cur) {
-            if (desired.count(b))
-                ++overlap;
-            else
-                toUnpin.push_back(b);
+
+        // Stamp the kept incumbents, then unpin what went unstamped.
+        const std::size_t firstUnpin = toUnpin_.size();
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            Candidate& c = pool_[r[i].slot];
+            if (c.pinned) {
+                *cur.find(c.block) = epoch;
+                ++kept;
+            }
         }
-        for (const Ranked& rk : r) {
-            if (!cur.count(rk.block))
-                toPin.push_back(rk.block);
+        overlap += kept;
+        cur.forEach([&](std::uint64_t b, std::uint64_t& stamp) {
+            if (stamp != epoch)
+                toUnpin_.push_back(b);
+        });
+        for (std::size_t i = firstUnpin; i < toUnpin_.size(); ++i) {
+            const ArrayBlock b = toUnpin_[i];
+            cur.erase(b);
+            if (const std::uint32_t* n = slotOf_.find(b))
+                pool_[*n].pinned = false;
         }
-        cur = std::move(desired);
+        for (std::size_t i = 0; i < k; ++i) {
+            Candidate& c = pool_[r[i].slot];
+            if (!c.pinned) {
+                c.pinned = true;
+                cur.insert(c.block, epoch);
+                toPin_.push_back(c.block);
+            }
+        }
     }
 
     // Canonical command order: sorted unpins, then sorted pins. The
     // per-shard FIFO applies each disk's unpins before its pins, so
     // controller occupancy never exceeds the region capacity.
-    std::sort(toUnpin.begin(), toUnpin.end());
-    std::sort(toPin.begin(), toPin.end());
-    for (const ArrayBlock b : toUnpin) {
+    std::sort(toUnpin_.begin(), toUnpin_.end());
+    std::sort(toPin_.begin(), toPin_.end());
+    for (const ArrayBlock b : toUnpin_) {
         array_.unpinLogicalBlock(b);
         ++counters_.unpins;
         --pinnedNow_;
     }
-    for (const ArrayBlock b : toPin) {
+    for (const ArrayBlock b : toPin_) {
         array_.pinLogicalBlock(b);
         ++counters_.pins;
         ++pinnedNow_;

@@ -20,6 +20,19 @@
  *    as unpin-then-pin commands through DiskArray's unified pin
  *    router. Per-shard command FIFOs make the unpins land first, so
  *    controller occupancy never overshoots.
+ *  - Re-plan cost: one sequential pass over the pool, no hashing
+ *    for most candidates. Each pool slot caches its block's owning
+ *    disk, pinned flag, estimate, and the sketch counter that
+ *    produced that estimate (read when the block enters the pool).
+ *    Counters only grow between agings, so the estimate is re-read
+ *    only if that counter's bit is set in the changed-counter bitmap
+ *    (marked by every increment, cleared each epoch), or after an
+ *    aging. Each candidate's rank key (estimate + 2 if pinned, then
+ *    pinned first, then lower block) is packed once; a per-disk
+ *    histogram of keys drops the candidates that cannot make the top
+ *    k, and std::nth_element selects among the rest. The order is
+ *    total, so the chosen set is exactly what a full sort would
+ *    pick; only the unpin/pin deltas touch the per-disk pin tables.
  *  - Phase change: the epoch's churn (1 - overlap between the new
  *    and previous hot sets) above hdc.churn_threshold schedules the
  *    next re-plan at a quarter of the base period, so the region
@@ -37,13 +50,12 @@
 #define DTSIM_HDC_ONLINE_POLICY_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "array/disk_array.hh"
 #include "hdc/hdc_spec.hh"
+#include "sim/flat_table.hh"
+#include "sim/slab_list.hh"
 
 namespace dtsim {
 
@@ -101,25 +113,66 @@ class OnlineHdcPolicy
     bool
     isPinned(ArrayBlock block) const
     {
-        const PhysicalLoc loc = array_.striping().toPhysical(block);
-        return pinnedPerDisk_[loc.disk].count(block) != 0;
+        return pinnedPerDisk_[diskOf(block)].contains(block);
     }
 
+    /** Unpin commands of the last re-plan, in the order sent. */
+    const std::vector<ArrayBlock>& lastUnpins() const { return toUnpin_; }
+
+    /** Pin commands of the last re-plan, in the order sent. */
+    const std::vector<ArrayBlock>& lastPins() const { return toPin_; }
+
   private:
-    /** Count-min estimate of `block`'s miss frequency. */
-    std::uint64_t estimate(ArrayBlock block) const;
+    /** One candidate-pool slot. */
+    struct Candidate
+    {
+        ArrayBlock block = 0;
+        std::uint32_t est = 0;      ///< Sketch estimate at the last read.
+        std::uint32_t minCell = 0;  ///< Sketch counter that gave `est`.
+        std::uint32_t disk = 0;     ///< Owning logical disk.
+        bool live = false;          ///< Slot holds a candidate.
+        bool pinned = false;        ///< Block is in its disk's pin set.
+    };
+
+    /** A candidate's packed rank key and its pool slot. */
+    struct Ranked
+    {
+        std::uint64_t key;  ///< (est + 2 * pinned) << 1 | pinned.
+        ArrayBlock block;
+        std::uint32_t slot;
+    };
+
+    /** Rank keys at or above this share the top histogram bucket. */
+    static constexpr std::uint64_t kKeyBuckets = 64;
+
+    /** Logical disk holding `block`. */
+    unsigned
+    diskOf(ArrayBlock block) const
+    {
+        return array_.striping().toPhysical(block).disk;
+    }
+
+    /** Fill cells_ with `block`'s sketch counter index in each row. */
+    void hashCells(ArrayBlock block);
 
     /** Conservative-update increment of `block` in the sketch. */
     void sketchAdd(ArrayBlock block);
 
-    /** Refresh `block` in the bounded LRU candidate pool. */
+    /**
+     * Set `c`'s estimate and minimum counter from cells_, which must
+     * hold `c.block`'s counter indices.
+     */
+    void readEstimate(Candidate& c) const;
+
+    /**
+     * Refresh `block` in the bounded LRU candidate pool; a new
+     * candidate reads its estimate from cells_, so call it right
+     * after sketchAdd(block).
+     */
     void touchCandidate(ArrayBlock block);
 
     /** Halve every sketch counter (exponential epoch decay). */
     void ageSketch();
-
-    /** Row `r`'s sketch column for `block`. */
-    std::size_t slot(unsigned r, ArrayBlock block) const;
 
     DiskArray& array_;
     HdcSpec spec_;
@@ -132,13 +185,31 @@ class OnlineHdcPolicy
     unsigned rows_;
     std::uint64_t cols_;
 
-    std::list<ArrayBlock> candLru_;  ///< Front = most recent miss.
-    std::unordered_map<ArrayBlock, std::list<ArrayBlock>::iterator>
-        candMap_;
+    /** Scratch: one block's counter index per sketch row. */
+    std::vector<std::uint32_t> cells_;
 
-    /** Current pin set of each logical disk. */
-    std::vector<std::unordered_set<ArrayBlock>> pinnedPerDisk_;
+    /** One bit per sketch counter incremented since the last epoch. */
+    std::vector<std::uint64_t> changed_;
+
+    /** The sketch was aged: every cached estimate is stale. */
+    bool rereadAll_ = false;
+
+    Slab<Candidate> pool_;             ///< candidateBlocks slots.
+    SlabList lru_;                     ///< Front = most recent miss.
+    FlatTable<std::uint32_t> slotOf_;  ///< Block -> pool slot.
+
+    /**
+     * Current pin set of each logical disk, mapping each block to the
+     * last epoch that kept it.
+     */
+    std::vector<FlatTable<std::uint64_t>> pinnedPerDisk_;
     std::uint64_t pinnedNow_ = 0;
+
+    /** Re-plan scratch, kept to reuse its storage. */
+    std::vector<std::vector<Ranked>> ranked_;
+    std::vector<std::uint32_t> keyHist_;  ///< disks x kKeyBuckets.
+    std::vector<ArrayBlock> toUnpin_;
+    std::vector<ArrayBlock> toPin_;
 
     /** The previous epoch flagged a phase change. */
     bool fastMode_ = false;

@@ -69,6 +69,56 @@ TEST(ConfigValidate, OnlineHdcKnobs)
     EXPECT_EQ(firstError(sim), "");
 }
 
+TEST(ConfigValidate, OnlineHdcStateCap)
+{
+    SimulationConfig sim;
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.budgetBytesPerDisk = kMiB;
+    EXPECT_LE(sim.system.hdc.onlineStateBytes(),
+              HdcSpec::kOnlineStateCapBytes);
+
+    // A sketch far beyond the cap (this used to abort with bad_alloc).
+    sim.system.hdc.sketchCols = 100000000000ull;
+    std::string err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_rows x hdc.sketch_cols"),
+              std::string::npos) << err;
+    EXPECT_NE(err.find("state cap"), std::string::npos) << err;
+
+    // rows x cols overflowing 64 bits is still a clean error.
+    sim.system.hdc.sketchRows = 0xffffffffu;
+    sim.system.hdc.sketchCols = UINT64_MAX;
+    EXPECT_EQ(sim.system.hdc.onlineStateBytes(), UINT64_MAX);
+    EXPECT_NE(firstError(sim).find("state cap"), std::string::npos);
+    sim.system.hdc.sketchRows = 4;
+    sim.system.hdc.sketchCols = 65536;
+    EXPECT_EQ(firstError(sim), "");
+
+    // A pool that does not fit 32-bit slot indices names its key.
+    sim.system.hdc.candidateBlocks = HdcSpec::kMaxCandidateBlocks + 1;
+    err = firstError(sim);
+    EXPECT_NE(err.find("hdc.candidate_blocks"), std::string::npos);
+    EXPECT_NE(err.find("32-bit"), std::string::npos) << err;
+
+    // A pool within the index range but beyond the state cap.
+    sim.system.hdc.candidateBlocks = 100000000;
+    err = firstError(sim);
+    EXPECT_NE(err.find("hdc.candidate_blocks (100000000)"),
+              std::string::npos) << err;
+    EXPECT_NE(err.find("state cap"), std::string::npos) << err;
+
+    // Just under the cap is accepted.
+    sim.system.hdc.sketchRows = 1;
+    sim.system.hdc.sketchCols = 1;
+    sim.system.hdc.candidateBlocks =
+        (HdcSpec::kOnlineStateCapBytes - 4) / 96;
+    EXPECT_EQ(firstError(sim), "");
+
+    // The caps only bind under the online policy.
+    sim.system.hdc.policy = HdcPolicy::Oracle;
+    sim.system.hdc.sketchCols = 100000000000ull;
+    EXPECT_EQ(firstError(sim), "");
+}
+
 TEST(ConfigValidate, AdaptiveRaKnobs)
 {
     SimulationConfig sim;
