@@ -79,16 +79,18 @@ runSystems(const std::vector<SystemSpec>& specs)
     batch.reserve(specs.size());
 
     for (const SystemSpec& s : specs) {
+        HdcSpec hdc = s.base.hdc;
+        hdc.budgetBytesPerDisk = s.hdcBytes;
         Experiment e(s.base);
         e.kind(s.kind)
-            .hdcBytesPerDisk(s.hdcBytes)
+            .hdc(hdc)
             .replay(*s.trace)
             .options(s.opts);
         if (s.bitmaps)
             e.bitmaps(*s.bitmaps);
         batch.push_back(std::move(e));
     }
-    // Pinned-policy pin plans are derived per Experiment during
+    // Oracle-policy pin plans are derived per Experiment during
     // prepare(); runAll() executes the batch through the parallel
     // sweep runner.
     return Experiment::runAll(batch);

@@ -62,7 +62,7 @@ main()
     }
 
     const RunResult none = Experiment(cfg)
-                               .hdcBytesPerDisk(0)
+                               .hdc(HdcSpec{})
                                .replay(w.trace)
                                .bitmaps(bitmaps)
                                .run();

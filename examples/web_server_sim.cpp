@@ -23,9 +23,11 @@ runKind(SystemKind kind, std::uint64_t hdc_bytes,
         const std::vector<LayoutBitmap>& bitmaps,
         const std::vector<ArrayBlock>& pinned)
 {
+    HdcSpec hdc = base.hdc;
+    hdc.budgetBytesPerDisk = hdc_bytes;
     Experiment e(base);
     e.kind(kind)
-        .hdcBytesPerDisk(hdc_bytes)
+        .hdc(hdc)
         .replay(trace)
         .bitmaps(bitmaps);
     if (hdc_bytes > 0)

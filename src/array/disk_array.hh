@@ -73,23 +73,15 @@ struct ArrayConfig
     FaultConfig fault;
 };
 
-class ShardedKernel;
-
 /** A striped array of simulated disks. */
 class DiskArray
 {
   public:
     /**
-     * @param eq The event queue driving the array; with `kernel`
-     *        attached this is the kernel's host (coordinator) queue.
+     * @param eq The event queue driving the array.
      * @param cfg Array configuration.
-     * @param kernel Optional sharded kernel (one shard per disk):
-     *        each controller then schedules its disk-side events on
-     *        its own shard queue and exchanges submissions and
-     *        completions with the host timeline as messages.
      */
-    DiskArray(EventQueue& eq, const ArrayConfig& cfg,
-              ShardedKernel* kernel = nullptr);
+    DiskArray(EventQueue& eq, const ArrayConfig& cfg);
 
     DiskArray(const DiskArray&) = delete;
     DiskArray& operator=(const DiskArray&) = delete;
@@ -106,31 +98,22 @@ class DiskArray
 
     /**
      * pin_blk() routed to the owning disk (both replicas when
-     * mirrored). One command API for both kernels and both run
-     * phases:
+     * mirrored), in one of two run phases:
      *
-     *  - At host tick 0 (warm start, before the run) the pin applies
+     *  - At tick 0 (warm start, before the run) the pin applies
      *    synchronously and the return value reports success, exactly
      *    like the paper's untimed HDC load outside the measured
      *    window.
-     *  - Mid-run the command crosses to the owning disk's timeline
-     *    after that controller's commandLatency(), like any other
-     *    host->disk message — legal under the sharded kernel's
-     *    lookahead contract. The caller models HDC capacity host-side
-     *    (see VictimHdcManager / OnlineHdcPolicy), so a shard-side
-     *    failure is a model bug and fatal()s; the call returns true.
+     *  - Mid-run the command reaches the owning controller after its
+     *    commandLatency(), like any other host->disk command. The
+     *    caller models HDC capacity host-side (see VictimHdcManager /
+     *    OnlineHdcPolicy), so a controller-side failure is a model
+     *    bug and fatal()s; the call returns true.
      */
     bool pinLogicalBlock(ArrayBlock lb);
 
     /** unpin_blk() routed like pinLogicalBlock(). */
     bool unpinLogicalBlock(ArrayBlock lb);
-
-    /** @deprecated Alias of pinLogicalBlock(); the router now picks
-     *  the immediate or deferred path itself. */
-    void pinLogicalBlockDeferred(ArrayBlock lb);
-
-    /** @deprecated Alias of unpinLogicalBlock(). */
-    void unpinLogicalBlockDeferred(ArrayBlock lb);
 
     /**
      * Modeled host->controller command latency (uniform across the
@@ -190,7 +173,7 @@ class DiskArray
      */
     FaultCounters faultCounters() const
     {
-        return faults_ ? faults_->totals() : FaultCounters{};
+        return faults_ ? faults_->counters() : FaultCounters{};
     }
 
     /** Health of one physical disk (Alive when faults are off). */
@@ -250,7 +233,7 @@ class DiskArray
     void submitSub(unsigned disk, const SubRange& sr, bool is_write,
                    Pending* pending, bool degraded = false);
 
-    /** Post a deferred pin/unpin command to disk `d`'s timeline. */
+    /** Deliver a pin/unpin command to disk `d` after its latency. */
     void pinOnDisk(unsigned d, BlockNum b);
     void unpinOnDisk(unsigned d, BlockNum b);
 
@@ -277,16 +260,11 @@ class DiskArray
     StripingMap striping_;
 
     /**
-     * Serial cross-timeline link, owned when no sharded kernel is
-     * attached. Serial runs route same-tick cross-disk completions
-     * through it so their canonical (disk, FIFO) order matches the
-     * sharded kernel's merge -- the prerequisite for sharded runs
-     * being byte-identical to serial ones.
+     * Same-tick merge shared by every controller: cross-disk
+     * completions of one tick run in its canonical (rank, FIFO)
+     * order.
      */
-    std::unique_ptr<SerialMergeLink> serialLink_;
-
-    /** The active link: the sharded kernel or serialLink_. */
-    ShardLink* link_ = nullptr;
+    SerialMerge merge_;
 
     std::vector<std::unique_ptr<DiskController>> ctrls_;
 

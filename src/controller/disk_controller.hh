@@ -33,13 +33,12 @@
 #include "fault/fault_model.hh"
 #include "hdc/hdc_spec.hh"
 #include "sim/event_queue.hh"
+#include "sim/serial_merge.hh"
 #include "sim/ticks.hh"
 #include "stats/service_stats.hh"
 #include "stats/trace.hh"
 
 namespace dtsim {
-
-class ShardLink;
 
 /** Read-ahead cache organization. */
 enum class CacheOrg { Segment, Block };
@@ -120,13 +119,17 @@ class DiskController
 {
   public:
     /**
-     * @param eq Global event queue.
+     * @param merge The array's same-tick merge; its queue is the
+     *        event queue the controller schedules on. Completions,
+     *        queue-depth samples and rebuild callbacks are emitted
+     *        through it, so same-tick actions of different disks run
+     *        in its canonical (rank, FIFO) order.
      * @param bus Shared host bus.
      * @param params Drive parameters (copied).
      * @param cfg Controller configuration.
-     * @param disk_id Array position, for reporting.
+     * @param disk_id Array position, for reporting and merge rank.
      */
-    DiskController(EventQueue& eq, ScsiBus& bus,
+    DiskController(SerialMerge& merge, ScsiBus& bus,
                    const DiskParams& params,
                    const ControllerConfig& cfg, unsigned disk_id);
 
@@ -144,22 +147,6 @@ class DiskController
     void submit(IoRequest req);
 
     /**
-     * Attach the cross-timeline link (null = raw direct scheduling,
-     * for directly-constructed controllers in unit tests). Under the
-     * sharded kernel, `eq` passed at construction must be the
-     * kernel's shard queue for this disk: submissions arrive as
-     * cross-shard messages and completions are emitted back to the
-     * kernel's host timeline instead of being scheduled directly.
-     * Host-owned state (outstanding count, latency stats, histograms,
-     * tracer) is then touched only from host context, disk-owned
-     * state (mechanism, caches, scheduler) only from this shard's
-     * context. Under the serial merge link the split is the same but
-     * everything runs on one queue; either way, same-tick cross-disk
-     * emissions execute in the canonical (disk, FIFO) order.
-     */
-    void setShardLink(ShardLink* link) { link_ = link; }
-
-    /**
      * Attach this disk's fault-injection state (null = faults off;
      * the default). With faults attached, media accesses consult the
      * per-disk error model (retries, remaps) and dispatches consult
@@ -171,10 +158,9 @@ class DiskController
      * Enqueue one mirror-rebuild media job over
      * [start, start+count). Rebuild traffic competes with foreground
      * I/O in the scheduler but bypasses the caches and the host bus;
-     * `done` fires when the media access completes, in host context
-     * (the completion crosses back over the link, merged in canonical
-     * order). Host context; the command reaches this disk's timeline
-     * after commandLatency() ticks.
+     * `done` fires when the media access completes, emitted through
+     * the merge in canonical order. The command reaches the
+     * controller commandLatency() ticks after the call.
      */
     void submitRebuild(BlockNum start, std::uint64_t count,
                        bool is_write, IoRequest::Callback done);
@@ -182,10 +168,8 @@ class DiskController
     /**
      * Modeled latency of a host->controller command (rebuild
      * submission, mid-run HDC pin/unpin): the per-request overhead
-     * plus the HDC lookup charge when an HDC region exists. Equals
-     * the sharded kernel's lookahead floor, so a command issued from
-     * a host event at tick t lands at t + commandLatency() — a legal
-     * cross-shard arrival.
+     * plus the HDC lookup charge when an HDC region exists. A
+     * command issued at tick t lands at t + commandLatency().
      */
     Tick
     commandLatency() const
@@ -284,10 +268,6 @@ class DiskController
     /** Queue a media job and start the mechanism if idle. */
     void enqueueMedia(std::unique_ptr<MediaJob> job);
 
-    /** Shard-side half of submitRebuild(): build + enqueue the job. */
-    void enqueueRebuild(BlockNum start, std::uint64_t count,
-                        bool is_write, IoRequest::Callback done);
-
     void tryStartMedia();
     void startMedia(std::unique_ptr<MediaJob> job);
     void onMediaDone(std::unique_ptr<MediaJob> job,
@@ -307,17 +287,12 @@ class DiskController
      */
     void maybeAdaptRaDepth();
 
-    /** Finish a request: bus transfer then completion callback. */
-    void respond(IoRequest req, Tick ready);
-
     /**
-     * Host-side half of respond(): reserve the bus and schedule the
-     * completion on the host timeline. In serial mode this runs
-     * inline; in sharded mode it runs as an emission consumed by the
-     * coordinator in merged tick order (the bus reservation order is
-     * the array's serialization surface).
+     * Finish a request: reserve the bus, then schedule the completion
+     * callback. The reservation is emitted through the merge, because
+     * the bus reservation order is the array's serialization surface.
      */
-    void finishOverBus(IoRequest req, Tick ready);
+    void respond(IoRequest req, Tick ready);
 
     /** Fold a completed host request into stats/histograms/trace. */
     void noteComplete(const IoRequest& req, Tick done);
@@ -336,6 +311,7 @@ class DiskController
     void recycleJob(std::unique_ptr<MediaJob> job);
 
     EventQueue& eq_;
+    SerialMerge& merge_;
     ScsiBus& bus_;
     DiskParams params_;
     ControllerConfig cfg_;
@@ -375,7 +351,6 @@ class DiskController
     bool stallPending_ = false;
 
     DiskFaults* faults_ = nullptr;
-    ShardLink* link_ = nullptr;
     std::uint64_t seq_ = 0;
     std::uint64_t outstanding_ = 0;
     ControllerStats stats_;

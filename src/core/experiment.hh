@@ -13,7 +13,7 @@
  *
  *     Experiment e(base);                    // bench-style replay
  *     e.kind(SystemKind::FOR)
- *      .hdcBytesPerDisk(2 * kMiB)
+ *      .hdc(hdc_spec)
  *      .replay(trace)
  *      .bitmaps(bitmaps);
  *     RunResult r = e.run();
@@ -23,7 +23,7 @@
  *  - **Built** (default): prepare() applies the server model's stream
  *    count, validates the full configuration (fatal on errors), and
  *    builds the workload the config asks for. FOR bitmaps and the
- *    Pinned-policy HDC pin plan are derived automatically.
+ *    oracle-policy HDC pin plan are derived automatically.
  *
  *  - **Replay** (replay() called): the caller supplies the trace, and
  *    usually the bitmaps, directly; no workload build and no full
@@ -82,10 +82,6 @@ class Experiment
 
     /** Set the read-ahead depth-control spec (ra.*). */
     Experiment& ra(const RaSpec& spec);
-
-    /** @deprecated Thin adapter over hdc(): sets only the budget.
-     *  Use hdc() for new code. */
-    Experiment& hdcBytesPerDisk(std::uint64_t bytes);
 
     /** Enable/disable RAID-10 mirroring. */
     Experiment& mirrored(bool on);
@@ -147,21 +143,12 @@ class Experiment
     /**
      * Stream framed live stat snapshots to `path` every `interval`
      * simulated ticks (0 = inherit statsEvery / the config's
-     * run.stats_interval_ticks). Works under both kernels; see
-     * docs/OBSERVABILITY.md.
+     * run.stats_interval_ticks); see docs/OBSERVABILITY.md.
      */
     Experiment& streamTo(std::string path, Tick interval = 0);
 
     /** Snapshot stats every `interval` ticks (0 = final dump only). */
     Experiment& statsEvery(Tick interval);
-
-    /**
-     * Intra-run kernel parallelism: shard the simulation per disk
-     * over `n` worker threads (1 = serial, the default; 0 =
-     * DTSIM_JOBS_INTRA/hardware threads). Composes with the
-     * sweep-level --jobs parallelism; see RunOptions::jobsIntra.
-     */
-    Experiment& jobsIntra(unsigned n);
 
     /**
      * Use this pre-rendered effective-config header; when unset,

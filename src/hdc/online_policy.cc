@@ -255,9 +255,10 @@ OnlineHdcPolicy::replan()
         }
     }
 
-    // Canonical command order: sorted unpins, then sorted pins. The
-    // per-shard FIFO applies each disk's unpins before its pins, so
-    // controller occupancy never exceeds the region capacity.
+    // Canonical command order: sorted unpins, then sorted pins. All
+    // commands share one latency and same-tick events fire FIFO, so
+    // each disk applies its unpins before its pins and controller
+    // occupancy never exceeds the region capacity.
     std::sort(toUnpin_.begin(), toUnpin_.end());
     std::sort(toPin_.begin(), toPin_.end());
     for (const ArrayBlock b : toUnpin_) {

@@ -18,7 +18,8 @@
  *    planner's order), takes the top hdcCapacityBlocks() of
  *    each disk, and ships the difference against the current pin set
  *    as unpin-then-pin commands through DiskArray's unified pin
- *    router. Per-shard command FIFOs make the unpins land first, so
+ *    router. Every command takes the same latency and same-tick
+ *    events fire in FIFO order, so the unpins land first and
  *    controller occupancy never overshoots.
  *  - Re-plan cost: one sequential pass over the pool, no hashing
  *    for most candidates. Each pool slot caches its block's owning
@@ -43,7 +44,7 @@
  *    recurrences that make a block worth pinning.
  *
  * All state is host-side and fed in canonical host order, so runs
- * are byte-identical at any --jobs-intra setting.
+ * are deterministic.
  */
 
 #ifndef DTSIM_HDC_ONLINE_POLICY_HH

@@ -1,33 +1,28 @@
 #include "sim/serial_merge.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace dtsim {
 
 void
-SerialMergeLink::emitToHost(unsigned s, Tick when, HostFn fn)
+SerialMerge::emit(unsigned d, HostFn fn)
 {
-    // Emissions always carry the emitting event's own tick; one
-    // flusher per tick drains them all (nothing can join the current
-    // tick after the flusher, see the file comment).
-    assert(when == q_.now());
-    (void)when;
+    // One flusher per tick drains every emission of the tick (nothing
+    // can join the current tick after the flusher, see the file
+    // comment).
     if (!flushScheduled_) {
         flushScheduled_ = true;
         q_.scheduleAt(q_.now(), [this]() { flush(); });
     }
-    pending_.push_back(Pending{s, std::move(fn)});
+    pending_.push_back(Pending{d, std::move(fn)});
 }
 
 void
-SerialMergeLink::flush()
+SerialMerge::flush()
 {
     flushScheduled_ = false;
     batch_.clear();
     batch_.swap(pending_);
-    // Canonical cross-disk order at a tick: lowest merge rank first,
-    // FIFO within a disk -- exactly ShardedKernel::runHostMerged().
     std::stable_sort(batch_.begin(), batch_.end(),
                      [this](const Pending& a, const Pending& b) {
                          return mergeRank(a.disk) < mergeRank(b.disk);

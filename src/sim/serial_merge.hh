@@ -1,15 +1,18 @@
 /**
  * @file
- * Serial implementation of the ShardLink messaging interface.
+ * Canonical same-tick order for actions that disk-side events hand
+ * back to host-side code (bus reservations, order-sensitive stat
+ * samples, rebuild completions).
  *
- * On a single EventQueue, host-side actions produced by disk-side
- * events (bus reservations, order-sensitive stat samples) would
- * naturally execute in global event insertion order. That order is an
- * accident of scheduling history and cannot be reproduced by the
- * sharded kernel, whose per-disk timelines never observe it. The
- * serial link therefore defers every emission to the end of its tick
- * and replays the batch in the kernel's canonical (disk, FIFO) order,
- * making serial runs byte-identical to sharded ones.
+ * On one EventQueue such actions would naturally run in global event
+ * insertion order: an accident of scheduling history across disks.
+ * SerialMerge instead defers every emission to the end of its tick
+ * and replays the batch in canonical order: lowest merge rank first,
+ * FIFO within a disk. The rank of a disk is its index unless the
+ * array installs another; mirrored arrays install (logical disk,
+ * replica), so replica pairs merge primary-then-mirror regardless of
+ * how the replicas are numbered physically. The golden dumps depend
+ * on this order tick for tick.
  *
  * The deferral is safe because every modeled delay is positive: no
  * event can be scheduled at the current tick during the current tick,
@@ -26,32 +29,49 @@
 
 #include <vector>
 
-#include "sim/shard_link.hh"
+#include "sim/event_queue.hh"
 
 namespace dtsim {
 
-class SerialMergeLink final : public ShardLink
+class SerialMerge
 {
   public:
-    explicit SerialMergeLink(EventQueue& q) : q_(q) {}
+    /** Host-side action emitted by a disk. */
+    using HostFn = EventQueue::Callback;
 
-    Tick hostNow() const override { return q_.now(); }
+    explicit SerialMerge(EventQueue& q) : q_(q) {}
 
-    EventQueue& hostQueue() override { return q_; }
+    SerialMerge(const SerialMerge&) = delete;
+    SerialMerge& operator=(const SerialMerge&) = delete;
 
-    bool quiesced() const override { return false; }
+    /** The queue emissions are merged on. */
+    EventQueue& queue() { return q_; }
 
-    /** Arrivals schedule directly: one queue, same (when, seq). */
+    /**
+     * Install the merge order: ranks[d] is disk d's position in
+     * same-tick tie-breaks (lower runs first). Defaults to the
+     * identity. Must be set before the run starts.
+     */
     void
-    postToShard(unsigned, Tick when, EventQueue::Callback fn) override
+    setMergeRanks(std::vector<unsigned> ranks)
     {
-        q_.scheduleAt(when, std::move(fn));
+        mergeRanks_ = std::move(ranks);
     }
 
-    void emitToHost(unsigned s, Tick when, HostFn fn) override;
+    /**
+     * Emit a host-side action from disk `d` at the current tick. It
+     * runs at the end of the tick, in canonical (rank, FIFO) order.
+     */
+    void emit(unsigned d, HostFn fn);
 
   private:
     void flush();
+
+    unsigned
+    mergeRank(unsigned d) const
+    {
+        return d < mergeRanks_.size() ? mergeRanks_[d] : d;
+    }
 
     struct Pending
     {
@@ -60,6 +80,8 @@ class SerialMergeLink final : public ShardLink
     };
 
     EventQueue& q_;
+
+    std::vector<unsigned> mergeRanks_;
 
     /** Emissions of the current tick, in emission order. */
     std::vector<Pending> pending_;

@@ -18,14 +18,13 @@
  * The hot path is built to be left on: shouldRecord() runs the
  * per-request Bernoulli draw (`trace.sample`) against a dedicated
  * deterministic RNG stream (`trace.seed`), so the simulation RNGs are
- * never perturbed and the sampled set is reproducible — including
- * across serial and sharded kernels, because records are drawn in the
- * canonical host-context completion order. Accepted records are packed
- * into 64-byte BinaryTraceRecords and pushed through a lock-free SPSC
- * ring drained by a background writer thread; when the writer falls
- * behind and the ring fills, records are dropped and counted
- * (dropped()) rather than ever blocking the simulation thread. The
- * writer never polls — it parks in a futex-backed atomic wait and the
+ * never perturbed and the sampled set is reproducible, because
+ * records are drawn in the canonical completion order. Accepted
+ * records are packed into 64-byte BinaryTraceRecords and pushed
+ * through a lock-free SPSC ring drained by a background writer
+ * thread; when the writer falls behind and the ring fills, records
+ * are dropped and counted (dropped()) rather than ever blocking the
+ * simulation thread. The writer never polls — it parks in a futex-backed atomic wait and the
  * producer wakes it only when a batch of records has accumulated — so
  * an armed tracer costs the simulation nothing while idle, even on a
  * single-CPU host where the two threads share one core. With

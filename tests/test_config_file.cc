@@ -78,6 +78,18 @@ TEST(ConfigFile, ErrorsCarryFileAndLine)
         << err;
 }
 
+TEST(ConfigFile, RetiredIntraRunJobsKeyFailsWithFileAndLine)
+{
+    Bound b;
+    std::string err;
+    EXPECT_FALSE(loadConfigText("workload.kind = synthetic\n"
+                                "run.jobs_intra = 4\n",
+                                "removed_knob.conf", b.reg, err));
+    EXPECT_NE(err.find("removed_knob.conf:2: unknown parameter"),
+              std::string::npos)
+        << err;
+}
+
 TEST(ConfigFile, EmbeddedModeParsesOnlyConfLines)
 {
     // A stats-dump-shaped file: header lines, stats lines, and JSONL

@@ -155,6 +155,21 @@ TEST(ConfigParse, RegistryUnknownKeyAndBadValue)
     EXPECT_EQ(reg.get("system.disks"), "4");
 }
 
+TEST(ConfigParse, RetiredIntraRunJobsKeyIsUnknown)
+{
+    // One run is one serial event loop: there is no intra-run worker
+    // count to set, so the old key must fail like any unknown one.
+    SimulationConfig sim;
+    ParamRegistry reg;
+    bindParams(reg, sim);
+
+    EXPECT_FALSE(reg.has("run.jobs_intra"));
+    std::string err;
+    EXPECT_FALSE(reg.set("run.jobs_intra", "4", err));
+    EXPECT_NE(err.find("unknown parameter"), std::string::npos) << err;
+    EXPECT_NE(err.find("run.jobs_intra"), std::string::npos) << err;
+}
+
 TEST(ConfigParse, RegistryCoversEveryGroup)
 {
     SimulationConfig sim;

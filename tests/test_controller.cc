@@ -15,6 +15,7 @@ namespace {
 struct Rig
 {
     EventQueue eq;
+    SerialMerge merge{eq};
     ScsiBus bus;
     DiskParams params;
     ControllerConfig cfg;
@@ -25,7 +26,7 @@ struct Rig
         : cfg(c)
     {
         cfg.hdcBytes = hdc;
-        ctl = std::make_unique<DiskController>(eq, bus, params, cfg,
+        ctl = std::make_unique<DiskController>(merge, bus, params, cfg,
                                                0);
         bitmap = std::make_unique<LayoutBitmap>(params.totalBlocks());
         ctl->setBitmap(bitmap.get());

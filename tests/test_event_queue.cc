@@ -1,12 +1,15 @@
-/** @file Unit tests for the discrete-event kernel. */
+/** @file Unit tests for the discrete-event kernel and its same-tick
+ *  merge. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/serial_merge.hh"
 
 namespace dtsim {
 namespace {
@@ -347,6 +350,168 @@ TEST(EventQueue, ManyEventsStressOrdering)
     }
     eq.run();
     EXPECT_TRUE(monotone);
+}
+
+TEST(SerialMerge, EmissionsRunAtTickEndInRankThenFifoOrder)
+{
+    // Emissions of one tick run after every other event of that tick,
+    // lowest merge rank first, FIFO within a disk; a later tick's
+    // emissions form their own batch.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    std::vector<int> order;
+    eq.scheduleAt(5, [&] {
+        merge.emit(2, [&] { order.push_back(20); });
+        merge.emit(0, [&] { order.push_back(0); });
+        merge.emit(2, [&] { order.push_back(21); });
+    });
+    eq.scheduleAt(5, [&] {
+        order.push_back(-1);
+        merge.emit(1, [&] { order.push_back(10); });
+    });
+    eq.scheduleAt(6, [&] { merge.emit(0, [&] { order.push_back(1); }); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 10, 20, 21, 1}));
+}
+
+TEST(SerialMerge, InstalledRanksOverrideDiskOrder)
+{
+    // Mirrored arrays rank (logical disk, replica): with 4 disks,
+    // disk 2 mirrors disk 0 and merges right after it.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    merge.setMergeRanks({0, 2, 1, 3});
+    std::vector<unsigned> order;
+    eq.scheduleAt(1, [&] {
+        for (unsigned d : {3u, 2u, 1u, 0u})
+            merge.emit(d, [&order, d] { order.push_back(d); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<unsigned>{0, 2, 1, 3}));
+}
+
+TEST(SerialMerge, UnrankedDisksFallBackToTheirIndex)
+{
+    // A rank table shorter than the array ranks only its prefix; the
+    // remaining disks merge by index.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    merge.setMergeRanks({5, 4});
+    std::vector<unsigned> order;
+    eq.scheduleAt(1, [&] {
+        for (unsigned d : {0u, 1u, 2u, 3u})
+            merge.emit(d, [&order, d] { order.push_back(d); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<unsigned>{2, 3, 1, 0}));
+}
+
+TEST(SerialMerge, ArrivalsAndFollowOnWorkMergeTickThenDiskThenFifo)
+{
+    // Two disks each take an arrival at tick 100 and finish follow-on
+    // work 50 ticks later; every step reports through the merge.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    std::vector<std::string> log;
+    auto report = [&](unsigned d, const std::string& what) {
+        const Tick when = eq.now();
+        merge.emit(d, [&log, d, what, when] {
+            log.push_back(what + std::to_string(d) + "@" +
+                          std::to_string(when));
+        });
+    };
+    eq.scheduleAt(0, [&] {
+        log.push_back("host@0");
+        // Disk 1's arrival is scheduled first; the merge still puts
+        // disk 0's report ahead of it.
+        for (unsigned d : {1u, 0u}) {
+            eq.scheduleAt(100, [&, d] {
+                report(d, "arrival");
+                eq.scheduleAfter(50, [&, d] { report(d, "work"); });
+            });
+        }
+    });
+    eq.run();
+    const std::vector<std::string> expected{
+        "host@0", "arrival0@100", "arrival1@100", "work0@150",
+        "work1@150"};
+    EXPECT_EQ(log, expected);
+}
+
+TEST(SerialMerge, SameDiskSameTickEmissionsKeepScheduleOrder)
+{
+    EventQueue eq;
+    SerialMerge merge(eq);
+    std::vector<std::string> log;
+    eq.scheduleAt(100, [&] {
+        merge.emit(0, [&log] { log.push_back("first"); });
+    });
+    eq.scheduleAt(100, [&] {
+        merge.emit(0, [&log] { log.push_back("second"); });
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"first", "second"}));
+}
+
+TEST(SerialMerge, OneFlushEventPerTickWithEmissions)
+{
+    // The flush is the only event the merge adds: one per tick that
+    // emits anything, however many disks emit in it.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    int ran = 0;
+    eq.scheduleAt(5, [&] {
+        for (unsigned d = 0; d < 3; ++d)
+            merge.emit(d, [&ran] { ++ran; });
+    });
+    eq.scheduleAt(7, [&] { merge.emit(1, [&ran] { ++ran; }); });
+    eq.scheduleAt(7, [&] { merge.emit(0, [&ran] { ++ran; }); });
+    eq.scheduleAt(9, [] {});
+    eq.run();
+    EXPECT_EQ(ran, 5);
+    EXPECT_EQ(eq.fired(), 4u + 2u);
+    EXPECT_EQ(eq.now(), 9u);
+}
+
+TEST(SerialMerge, EmissionDuringFlushRunsLaterInTheSameTick)
+{
+    // An emission made while a batch flushes starts a new batch of
+    // the same tick, after the whole current one, whatever its rank.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    std::vector<std::string> log;
+    eq.scheduleAt(5, [&] {
+        merge.emit(1, [&] {
+            log.push_back("a@" + std::to_string(eq.now()));
+            merge.emit(0, [&] {
+                log.push_back("c@" + std::to_string(eq.now()));
+            });
+        });
+        merge.emit(2, [&] {
+            log.push_back("b@" + std::to_string(eq.now()));
+        });
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a@5", "b@5", "c@5"}));
+}
+
+TEST(SerialMerge, FrontEventsPrecedeSameTickWorkAndItsEmissions)
+{
+    // Deferred commands are front events: they run before any disk
+    // work of their tick, so also before that work's emissions.
+    EventQueue eq;
+    SerialMerge merge(eq);
+    std::vector<std::string> log;
+    eq.scheduleAt(10, [&] {
+        log.push_back("work");
+        merge.emit(0, [&log] { log.push_back("emission"); });
+    });
+    eq.scheduleAt(0, [&] {
+        eq.scheduleAtFront(10, [&log] { log.push_back("command"); });
+    });
+    eq.run();
+    EXPECT_EQ(log,
+              (std::vector<std::string>{"command", "work", "emission"}));
 }
 
 } // namespace

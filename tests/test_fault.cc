@@ -199,6 +199,24 @@ TEST(DiskFaults, CleanDispatchResetsBackoff)
     EXPECT_EQ(c.stalls, 0u);
 }
 
+TEST(FaultModel, EveryDiskWritesTheArrayWideCounters)
+{
+    // One counter set per array: each disk's fault state writes it
+    // directly, so totals need no per-disk aggregation.
+    FaultConfig cfg;
+    cfg.stallWindows = "1000:500";
+    FaultModel m(cfg, 3);
+    for (unsigned d = 0; d < 3; ++d)
+        EXPECT_EQ(&m.disk(d).counters(), &m.counters()) << "disk " << d;
+
+    EXPECT_FALSE(m.counters().any());
+    EXPECT_EQ(m.disk(0).dispatchDelay(1000), 500u);
+    EXPECT_EQ(m.disk(2).dispatchDelay(1200), 300u);
+    EXPECT_EQ(m.counters().stalls, 2u);
+    EXPECT_EQ(m.counters().stallTicks, 800u);
+    EXPECT_TRUE(m.counters().any());
+}
+
 // ---------------------------------------------------------------------
 // Array-level accounting: retries, remaps, stalls.
 // ---------------------------------------------------------------------

@@ -20,6 +20,7 @@ namespace {
 struct Rig
 {
     EventQueue eq;
+    SerialMerge merge{eq};
     ScsiBus bus;
     DiskParams params;
     std::unique_ptr<DiskController> ctl;
@@ -31,7 +32,7 @@ struct Rig
         cfg.org = CacheOrg::Block;
         cfg.readAhead = ReadAheadMode::FOR;
         cfg.hdcBytes = hdc_bytes;
-        ctl = std::make_unique<DiskController>(eq, bus, params, cfg,
+        ctl = std::make_unique<DiskController>(merge, bus, params, cfg,
                                                0);
         bitmap = std::make_unique<LayoutBitmap>(params.totalBlocks());
         ctl->setBitmap(bitmap.get());

@@ -115,11 +115,6 @@ usage()
         "                      per point under a sweep\n"
         "  --jobs N            sweep threads (default DTSIM_JOBS,\n"
         "                      else all cores)\n"
-        "  --jobs-intra N      intra-run kernel threads sharding one\n"
-        "                      simulation per disk; results are\n"
-        "                      tick-identical at any setting\n"
-        "                      (run.jobs_intra; 1 = serial kernel,\n"
-        "                      0 = DTSIM_JOBS_INTRA else all cores)\n"
         "  --log-level L       quiet|warn|inform|debug (also the\n"
         "                      DTSIM_LOG environment variable)\n"
         "docs/CONFIG.md is the full parameter reference.\n");
@@ -457,8 +452,6 @@ main(int argc, char** argv)
             setParam(reg, "workload.kind", arg(argc, argv, i));
         } else if (a == "--jobs") {
             jobs = parseFlag<unsigned>("--jobs", arg(argc, argv, i));
-        } else if (a == "--jobs-intra") {
-            setParam(reg, "run.jobs_intra", arg(argc, argv, i));
         } else if (a == "--requests") {
             setParam(reg, "synthetic.requests", arg(argc, argv, i));
         } else if (a == "--file-kb") {
