@@ -117,8 +117,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
 
     RequestTracer tracer;
     if (!opts.tracePath.empty()) {
-        tracer.open(opts.tracePath, opts.trace);
-        tracer.writePreamble(config_header);
+        tracer.open(opts.tracePath, opts.trace, config_header);
         array.setTracer(&tracer);
     }
 
@@ -299,22 +298,22 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             bytes / toSeconds(res.elapsed) / 1.0e6;
     }
 
-    // close() joins the writer thread, so the drop counter is final
-    // and every accepted record has reached the file.
     tracer.close();
     res.traceRecords = tracer.records();
     res.traceSampledOut = tracer.sampledOut();
-    res.traceDropped = tracer.dropped();
 
     if (stream_out) {
         writeStatsFrame(stream_out.os(), array, svc.get(),
                         res.elapsed, stream_seq++, true);
         res.streamFrames = stream_seq;
+        stream_out.finish();
     }
 
-    if (stats_out)
+    if (stats_out) {
         writeStatsDump(stats_out.os(), cfg, res, array, svc.get(),
                        opts.fsStats);
+        stats_out.finish();
+    }
 
     return res;
 }

@@ -40,9 +40,8 @@ struct RunOptions
     std::string tracePath;
 
     /**
-     * Sampling probability, RNG seed, on-disk format, and ring
-     * capacity of the trace (stats/trace.hh). The defaults record
-     * every request in the binary format.
+     * Sampling probability and RNG seed of the trace
+     * (stats/trace.hh). The defaults record every request.
      */
     TraceConfig trace;
 
@@ -160,14 +159,6 @@ struct RunResult
     /** Completions the trace.sample draw skipped (deterministic for
      * a given seed and configuration). */
     std::uint64_t traceSampledOut = 0;
-
-    /**
-     * Trace records lost because the writer thread fell behind and
-     * the ring filled. Timing-dependent and therefore volatile: it
-     * appears in reports and the "# trace:" dump comment, never in
-     * deterministic output.
-     */
-    std::uint64_t traceDropped = 0;
 
     /** Stream frames emitted (0 when stats.stream was off). */
     std::uint64_t streamFrames = 0;

@@ -19,7 +19,15 @@ StatsSink::open(const char* what) const
         fatal("%s: cannot write stats file '%s'", what,
               path_.c_str());
     w.os_ = w.owned_.get();
+    w.path_ = path_;
     return w;
+}
+
+void
+StatsSink::Writer::finish()
+{
+    if (owned_ && !owned_->flush())
+        fatal("error writing stats file '%s'", path_.c_str());
 }
 
 } // namespace dtsim

@@ -87,10 +87,17 @@ class StatsSink
             return *os_;
         }
 
+        /**
+         * Flush a file sink and fatal() naming its path if any write
+         * failed (e.g. a full disk). No-op for stream and null sinks.
+         */
+        void finish();
+
       private:
         friend class StatsSink;
         std::unique_ptr<std::ofstream> owned_;
         std::ostream* os_ = nullptr;
+        std::string path_;  ///< file sinks only; for finish()
     };
 
     /**

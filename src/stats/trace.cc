@@ -1,8 +1,6 @@
 #include "stats/trace.hh"
 
-#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
@@ -46,8 +44,8 @@ sat16(std::uint64_t v)
 /**
  * Format one record into `buf` in the JSONL trace format. Field
  * order, separators, and integer rendering are the stable schema
- * documented in docs/METRICS.md; jsonl-format traces are byte
- * identical to what DTSim wrote before sampled tracing existed.
+ * documented in docs/METRICS.md; the export is byte identical to
+ * what DTSim wrote before sampled tracing existed.
  */
 int
 formatJsonl(const BinaryTraceRecord& rec, char* buf, std::size_t size)
@@ -130,37 +128,33 @@ traceRecordToJsonl(const BinaryTraceRecord& rec)
 }
 
 void
-RequestTracer::open(const std::string& path, const TraceConfig& cfg)
+RequestTracer::open(const std::string& path, const TraceConfig& cfg,
+                    const std::string& preamble)
 {
-    if (!compiledIn())
-        fatal("tracing requested but DTSIM_TRACE was OFF at build time");
     if (cfg.sample < 0.0 || cfg.sample > 1.0)
         fatal("trace.sample must be in [0, 1], got %g", cfg.sample);
+    if (!preamble.empty() && preamble.front() != '#')
+        panic("trace preamble must be '#' comment lines");
     close();
     out_ = std::fopen(path.c_str(), "wb");
     if (!out_)
         fatal("cannot open trace file %s for writing", path.c_str());
+    // One large buffer keeps the per-record cost to a 64-byte copy;
+    // the kernel sees a write only every 16 K records.
+    buf_.resize(std::size_t{1} << 20);
+    std::setvbuf(out_, buf_.data(), _IOFBF, buf_.size());
+    path_ = path;
     cfg_ = cfg;
     sampleAll_ = cfg.sample >= 1.0;
     sampleNone_ = cfg.sample <= 0.0;
     rng_ = Rng(cfg.seed);
     records_ = 0;
     sampledOut_ = 0;
-    droppedFinal_ = 0;
-    markerWritten_ = false;
-    const std::uint64_t capacity =
-        cfg.bufferRecords ? cfg.bufferRecords : 65536;
-    ring_ = std::make_unique<TraceRing>(
-        static_cast<std::size_t>(capacity));
-    // Wake the parked writer once this many records are queued: a
-    // write batch when the ring is big enough, half the ring when it
-    // is not (so small test rings still drain before they overflow).
-    wakeBatch_ = std::min<std::size_t>(256, ring_->capacity() / 2);
-    if (wakeBatch_ == 0)
-        wakeBatch_ = 1;
-    stop_.store(false, std::memory_order_relaxed);
-    parked_.store(false, std::memory_order_relaxed);
-    writer_ = std::thread([this] { writerLoop(); });
+    std::fputs(preamble.c_str(), out_);
+    if (!preamble.empty() && preamble.back() != '\n')
+        std::fputc('\n', out_);
+    std::fputs(kBinaryTraceMarker, out_);
+    std::fputc('\n', out_);
 }
 
 void
@@ -168,130 +162,19 @@ RequestTracer::close()
 {
     if (!out_)
         return;
-    stop_.store(true, std::memory_order_release);
-    // The writer may be parked with sub-batch records still queued:
-    // wake it unconditionally so it sees stop_, drains, and exits.
-    parked_.store(false, std::memory_order_release);
-    parked_.notify_one();
-    writer_.join();
-    // An empty binary trace still needs its marker so readers can
-    // identify the format.
-    if (cfg_.format == TraceFormat::Binary && !markerWritten_)
-        writeBinaryMarker();
-    droppedFinal_ = ring_->dropped();
-    ring_.reset();
-    std::fclose(out_);
+    const bool failed = std::ferror(out_) != 0;
+    const bool close_failed = std::fclose(out_) != 0;
     out_ = nullptr;
-}
-
-std::uint64_t
-RequestTracer::dropped() const
-{
-    // Before close() the producer-owned ring counter may lag; after
-    // close() the captured value is exact.
-    return ring_ ? ring_->dropped() : droppedFinal_;
+    if (failed || close_failed)
+        fatal("error writing trace file %s", path_.c_str());
 }
 
 void
-RequestTracer::writePreamble(const std::string& text)
+RequestTracer::writeRecord(const RequestTraceEvent& ev)
 {
-    if (!out_ || text.empty())
-        return;
-    if (text.front() != '#')
-        panic("trace preamble must be '#' comment lines");
-    std::fwrite(text.data(), 1, text.size(), out_);
-    if (text.back() != '\n')
-        std::fputc('\n', out_);
-}
-
-void
-RequestTracer::enqueueRecord(const RequestTraceEvent& ev)
-{
-    // push() never blocks: a full ring drops the record (counted by
-    // the ring) instead of stalling the simulation thread.
-    if (ring_->push(packTraceRecord(ev)))
-        ++records_;
-    // The fence pairs with the one the writer issues between setting
-    // parked_ and rechecking the ring (Dekker pattern): either we see
-    // parked_ == true here, or the writer sees this push in its
-    // recheck — a record can never be stranded behind a parked
-    // writer. Waking only at wakeBatch_ keeps wakeups (and their
-    // context switches) amortized over whole write batches.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (parked_.load(std::memory_order_relaxed) &&
-        ring_->size() >= wakeBatch_)
-        wakeWriter();
-}
-
-void
-RequestTracer::wakeWriter()
-{
-    parked_.store(false, std::memory_order_release);
-    parked_.notify_one();
-}
-
-void
-RequestTracer::writeBinaryMarker()
-{
-    std::fwrite(kBinaryTraceMarker, 1, std::strlen(kBinaryTraceMarker),
-                out_);
-    std::fputc('\n', out_);
-    markerWritten_ = true;
-}
-
-void
-RequestTracer::writeBatch(const BinaryTraceRecord* recs, std::size_t n)
-{
-    if (cfg_.format == TraceFormat::Binary) {
-        if (!markerWritten_)
-            writeBinaryMarker();
-        std::fwrite(recs, sizeof(BinaryTraceRecord), n, out_);
-        return;
-    }
-    char buf[320];
-    for (std::size_t i = 0; i < n; ++i) {
-        const int len = formatJsonl(recs[i], buf, sizeof(buf));
-        if (len <= 0 || static_cast<std::size_t>(len) >= sizeof(buf))
-            panic("trace record formatting overflowed");
-        std::fwrite(buf, 1, static_cast<std::size_t>(len), out_);
-    }
-}
-
-void
-RequestTracer::writerLoop()
-{
-    BinaryTraceRecord batch[256];
-    constexpr std::size_t kBatch = sizeof(batch) / sizeof(batch[0]);
-    for (;;) {
-        const std::size_t n = ring_->pop(batch, kBatch);
-        if (n) {
-            writeBatch(batch, n);
-            continue;
-        }
-        if (stop_.load(std::memory_order_acquire)) {
-            // The acquire synchronizes with the producer's release
-            // store in close(), so every record pushed before the
-            // stop request is now visible: drain and exit.
-            std::size_t m;
-            while ((m = ring_->pop(batch, kBatch)) != 0)
-                writeBatch(batch, m);
-            return;
-        }
-        // Ring drained: park until the producer accumulates a wake
-        // batch or close() raises stop_. The fence mirrors the
-        // producer's (enqueueRecord) so a push between our park and
-        // the recheck below is always caught by one side. wait() can
-        // return spuriously with parked_ still true; the loop simply
-        // comes back around, re-parks, and waits again.
-        parked_.store(true, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (ring_->size() != 0 ||
-            stop_.load(std::memory_order_acquire)) {
-            parked_.store(false, std::memory_order_relaxed);
-            continue;
-        }
-        parked_.wait(true, std::memory_order_acquire);
-    }
+    const BinaryTraceRecord rec = packTraceRecord(ev);
+    std::fwrite(&rec, sizeof(rec), 1, out_);
+    ++records_;
 }
 
 namespace {

@@ -6,56 +6,33 @@
  * completion tick, disk, starting LBA, block count, direction, how the
  * request was served (media / controller cache / HDC), and the service
  * time breakdown (queue, seek, rotation, transfer, bus, total latency),
- * all in ticks (nanoseconds). Two on-disk formats share one preamble
- * convention ('#' comment lines carrying the effective config):
+ * all in ticks (nanoseconds). A trace file is a '#' preamble (the
+ * effective config), a "#dtsim-binary-trace" marker line, then fixed
+ * 64-byte little-endian BinaryTraceRecords. `trace_summary --to-jsonl`
+ * converts it to one JSON object per line (traceRecordToJsonl).
  *
- *  * binary (the default): fixed 64-byte little-endian records
- *    (stats/trace_ring.hh) after a "#dtsim-binary-trace" marker line —
- *    compact and cheap enough to leave on in production runs;
- *  * jsonl: the original one-JSON-object-per-line text format, byte
- *    identical to what pre-sampling DTSim wrote.
+ * shouldRecord() runs the per-request Bernoulli draw (`trace.sample`)
+ * against a dedicated deterministic RNG stream (`trace.seed`), so the
+ * simulation RNGs are never perturbed and the sampled set is
+ * reproducible, because records are drawn in the canonical completion
+ * order. record() packs each accepted event and fwrite()s it on the
+ * calling (simulation) thread through a large stdio buffer, so every
+ * accepted record reaches the file.
  *
- * The hot path is built to be left on: shouldRecord() runs the
- * per-request Bernoulli draw (`trace.sample`) against a dedicated
- * deterministic RNG stream (`trace.seed`), so the simulation RNGs are
- * never perturbed and the sampled set is reproducible, because
- * records are drawn in the canonical completion order. Accepted
- * records are packed into 64-byte BinaryTraceRecords and pushed
- * through a lock-free SPSC ring drained by a background writer
- * thread; when the writer falls behind and the ring fills, records
- * are dropped and counted (dropped()) rather than ever blocking the
- * simulation thread. The writer never polls — it parks in a futex-backed atomic wait and the
- * producer wakes it only when a batch of records has accumulated — so
- * an armed tracer costs the simulation nothing while idle, even on a
- * single-CPU host where the two threads share one core. With
- * the CMake option DTSIM_TRACE OFF (DTSIM_TRACE_ENABLED=0) the whole
- * facility still compiles away to nothing.
- *
- * The reader side (parseTraceLine / readTraceFile) is always compiled
- * so tools and tests can consume traces regardless of the toggle;
- * readTraceFile auto-detects the format from the marker line.
+ * The reader side (parseTraceLine / readTraceFile) also loads JSONL
+ * traces; readTraceFile auto-detects the format from the marker line.
  */
 
 #ifndef DTSIM_STATS_TRACE_HH
 #define DTSIM_STATS_TRACE_HH
 
-// Set by CMake from the DTSIM_TRACE option; default on for plain
-// inclusion outside the build system.
-#ifndef DTSIM_TRACE_ENABLED
-#define DTSIM_TRACE_ENABLED 1
-#endif
-
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/rng.hh"
 #include "sim/ticks.hh"
-#include "stats/trace_ring.hh"
 
 namespace dtsim {
 
@@ -68,12 +45,6 @@ enum class TraceOutcome : std::uint8_t {
 
 /** JSON value of the "how" field for an outcome. */
 const char* traceOutcomeName(TraceOutcome o);
-
-/** On-disk trace encoding (trace.format). */
-enum class TraceFormat : std::uint8_t {
-    Binary,  ///< 64-byte fixed records after a marker line
-    Jsonl,   ///< one JSON object per line (the pre-sampling format)
-};
 
 /**
  * Runtime tracing knobs (the trace.* config group). The defaults
@@ -92,26 +63,13 @@ struct TraceConfig
     /** Seed of the sampling RNG stream (independent of run seeds). */
     std::uint64_t seed = 1;
 
-    /** On-disk encoding of the records. */
-    TraceFormat format = TraceFormat::Binary;
-
-    /**
-     * Ring capacity in records between the simulation thread and the
-     * background writer (rounded up to a power of two). Larger rings
-     * absorb longer writer stalls before dropping records.
-     * Execution-only: never part of the effective-config header.
-     */
-    std::uint64_t bufferRecords = 65536;
-
     bool operator==(const TraceConfig&) const = default;
 
-    /** True when any header-visible knob differs from its default
-     * (bufferRecords is execution-only and deliberately excluded). */
+    /** True when any knob differs from its default. */
     bool
     nonDefault() const
     {
-        return sample != 1.0 || seed != 1 ||
-            format != TraceFormat::Binary;
+        return sample != 1.0 || seed != 1;
     }
 };
 
@@ -136,6 +94,44 @@ struct RequestTraceEvent
                                  ///< mirror ("degraded": 0/1)
 };
 
+/**
+ * One traced request as stored on disk: 64 bytes, little-endian,
+ * field order below (see docs/OBSERVABILITY.md for the authoritative
+ * field table). Tick-valued fields that can exceed 4.29 seconds
+ * (completion tick, latency, queue wait) are 64-bit; the per-component
+ * service times (seek, rotation, transfer, bus) are 32-bit — they are
+ * bounded by single-access mechanics, orders of magnitude under the
+ * 4.29 s limit — and saturate rather than wrap if an exotic
+ * configuration ever exceeds them.
+ */
+struct BinaryTraceRecord
+{
+    std::uint64_t completed;   ///< completion tick ("t")
+    std::uint64_t lba;         ///< first block number
+    std::uint64_t latency;     ///< submit-to-complete ticks
+    std::uint64_t queue;       ///< scheduler queue wait ticks
+    std::uint32_t seek;        ///< seek + settle ticks (saturating)
+    std::uint32_t rotation;    ///< rotational delay ticks (saturating)
+    std::uint32_t transfer;    ///< media transfer ticks (saturating)
+    std::uint32_t bus;         ///< SCSI bus ticks (saturating)
+    std::uint32_t blocks;      ///< request length in blocks
+    std::uint16_t disk;        ///< physical disk id
+    std::uint8_t flags;        ///< bit 0 = write, bit 1 = degraded
+    std::uint8_t outcome;      ///< TraceOutcome as an integer
+    std::uint16_t faults;      ///< failed media attempts (saturating)
+    std::uint16_t retries;     ///< media retries (saturating)
+    std::uint32_t reserved;    ///< zero; room for future fields
+};
+
+static_assert(sizeof(BinaryTraceRecord) == 64,
+              "binary trace records are a stable 64-byte format");
+
+/** BinaryTraceRecord::flags bits. */
+enum : std::uint8_t {
+    kTraceFlagWrite = 1u << 0,
+    kTraceFlagDegraded = 1u << 1,
+};
+
 /** Pack an event into the 64-byte on-disk record (saturating the
  * narrow component fields). */
 BinaryTraceRecord packTraceRecord(const RequestTraceEvent& ev);
@@ -143,16 +139,15 @@ BinaryTraceRecord packTraceRecord(const RequestTraceEvent& ev);
 /** Expand a 64-byte record back into an event. */
 RequestTraceEvent unpackTraceRecord(const BinaryTraceRecord& rec);
 
-/** Format one record as a JSONL line (exactly the bytes the jsonl
- * format writes, including the trailing newline). */
+/** Format one record as a JSONL line, including the trailing
+ * newline (the `trace_summary --to-jsonl` export). */
 std::string traceRecordToJsonl(const BinaryTraceRecord& rec);
 
 /**
- * Writes sampled request records to a trace file through a background
- * writer thread. A default-constructed tracer is disabled; open()
- * arms it and starts the writer. The recording side (shouldRecord /
- * record) must be driven by exactly one thread — the simulation host
- * context; sweep jobs each own their own tracer.
+ * Writes sampled request records to a binary trace file. A
+ * default-constructed tracer is disabled; open() arms it. It must be
+ * driven by exactly one thread — the simulation host context; sweep
+ * jobs each own their own tracer.
  */
 class RequestTracer
 {
@@ -163,43 +158,26 @@ class RequestTracer
     RequestTracer(const RequestTracer&) = delete;
     RequestTracer& operator=(const RequestTracer&) = delete;
 
-    /** Whether tracing support was compiled in (DTSIM_TRACE). */
-    static constexpr bool compiledIn() { return DTSIM_TRACE_ENABLED != 0; }
-
     /**
-     * Start writing to `path` (truncates) with the given sampling /
-     * format configuration, and start the background writer thread.
-     * fatal() if tracing was compiled out or the file cannot be
-     * opened.
+     * Start writing to `path` (truncates) with the given sampling
+     * configuration: write `preamble` (e.g. the effective-config
+     * header; every line must start with '#', which readers and
+     * trace_summary skip), then the binary marker line. fatal() if
+     * the file cannot be opened.
      */
-    void open(const std::string& path, const TraceConfig& cfg = {});
+    void open(const std::string& path, const TraceConfig& cfg = {},
+              const std::string& preamble = "");
 
     /**
-     * Stop the writer thread (draining every queued record), flush
-     * and close the output file; the tracer becomes disabled. The
-     * records()/sampledOut()/dropped() counters survive close() and
-     * report the finished run.
+     * Flush and close the output file; the tracer becomes disabled.
+     * fatal() naming the path if any write failed. The
+     * records()/sampledOut() counters survive close() and report the
+     * finished run.
      */
     void close();
 
-    /**
-     * Write preamble text (e.g. the effective-config header) ahead of
-     * the records. Every line must start with '#'; the reader side
-     * and trace_summary skip such lines. Must precede the first
-     * record. No-op when disabled.
-     */
-    void writePreamble(const std::string& text);
-
     /** True when the tracer is armed (even at trace.sample = 0). */
-    bool
-    enabled() const
-    {
-#if DTSIM_TRACE_ENABLED
-        return out_ != nullptr;
-#else
-        return false;
-#endif
-    }
+    bool enabled() const { return out_ != nullptr; }
 
     /**
      * Run the sampling draw for one completed request: true when the
@@ -211,7 +189,6 @@ class RequestTracer
     bool
     shouldRecord()
     {
-#if DTSIM_TRACE_ENABLED
         if (!out_)
             return false;
         if (sampleAll_)
@@ -223,69 +200,37 @@ class RequestTracer
             return false;
         }
         return true;
-#else
-        return false;
-#endif
     }
 
     /**
-     * Queue one request record for the writer thread; no-op when
-     * disabled. Does not itself sample — pair with shouldRecord().
+     * Write one request record; no-op when disabled. Does not itself
+     * sample — pair with shouldRecord().
      */
     void
     record(const RequestTraceEvent& ev)
     {
-#if DTSIM_TRACE_ENABLED
         if (out_)
-            enqueueRecord(ev);
-#else
-        (void)ev;
-#endif
+            writeRecord(ev);
     }
 
-    /** Records accepted for writing since open() (every one of these
-     * reaches the file; ring overflow is counted in dropped()). */
+    /** Records written since open(). */
     std::uint64_t records() const { return records_; }
 
     /** Sampling candidates skipped by the trace.sample draw. */
     std::uint64_t sampledOut() const { return sampledOut_; }
 
-    /** Records lost to ring overflow (writer thread fell behind).
-     * Final after close(); timing-dependent, never deterministic. */
-    std::uint64_t dropped() const;
-
   private:
-    void enqueueRecord(const RequestTraceEvent& ev);
-    void wakeWriter();
-    void writerLoop();
-    void writeBatch(const BinaryTraceRecord* recs, std::size_t n);
-    void writeBinaryMarker();
+    void writeRecord(const RequestTraceEvent& ev);
 
     std::FILE* out_ = nullptr;
+    std::string path_;
+    std::vector<char> buf_;      ///< stdio buffer of out_
     TraceConfig cfg_;
     Rng rng_;                    ///< dedicated sampling stream
     bool sampleAll_ = true;      ///< sample >= 1: skip the draw
     bool sampleNone_ = false;    ///< sample <= 0: skip the draw
     std::uint64_t records_ = 0;
     std::uint64_t sampledOut_ = 0;
-    std::uint64_t droppedFinal_ = 0;  ///< captured at close()
-    std::unique_ptr<TraceRing> ring_;
-    std::thread writer_;
-    std::atomic<bool> stop_{false};
-
-    /**
-     * True while the writer thread is blocked in an atomic wait. The
-     * writer never polls: once the ring drains it parks here and the
-     * producer wakes it (wakeWriter) only when wakeBatch_ records
-     * have accumulated, so an idle or lightly-sampled trace costs
-     * zero context switches — essential on single-CPU hosts, where a
-     * periodically polling writer steals timeslices from the
-     * simulation thread itself. Records below the threshold sit in
-     * the ring until the batch fills or close() drains everything.
-     */
-    std::atomic<bool> parked_{false};
-    std::size_t wakeBatch_ = 1;  ///< ring fill that triggers a wake
-    bool markerWritten_ = false; ///< writer thread / close() only
 };
 
 /**

@@ -2,12 +2,11 @@
  * @file
  * Test helper: normalize stats-dump text for byte comparisons.
  *
- * Stats dumps open with a "# runtime:" line (wall clock, events/sec)
- * and, when tracing ran, a "# trace:" line (whose dropped count
- * depends on writer-thread timing); both are volatile by design --
- * documented in docs/METRICS.md as excluded from determinism
- * comparisons. Tests asserting that two dumps are byte-identical
- * strip them first.
+ * Stats dumps open with a "# runtime:" line (wall clock, events/sec,
+ * volatile by design) and, when tracing ran, a "# trace:" line (which
+ * an untraced run lacks); docs/METRICS.md documents both as excluded
+ * from determinism comparisons. Tests asserting that two dumps are
+ * byte-identical strip them first.
  */
 
 #ifndef DTSIM_TESTS_STATS_TEXT_HH

@@ -80,14 +80,21 @@ TEST(ConfigFile, ErrorsCarryFileAndLine)
 
 TEST(ConfigFile, RetiredIntraRunJobsKeyFailsWithFileAndLine)
 {
-    Bound b;
-    std::string err;
-    EXPECT_FALSE(loadConfigText("workload.kind = synthetic\n"
-                                "run.jobs_intra = 4\n",
-                                "removed_knob.conf", b.reg, err));
-    EXPECT_NE(err.find("removed_knob.conf:2: unknown parameter"),
-              std::string::npos)
-        << err;
+    // The retired intra-run worker count, trace encoding and trace
+    // writer-ring capacity all fail as unknown keys.
+    for (const char* line : {"run.jobs_intra = 4\n",
+                             "trace.format = jsonl\n",
+                             "trace.buffer_records = 16\n"}) {
+        Bound b;
+        std::string err;
+        EXPECT_FALSE(loadConfigText(
+            std::string("workload.kind = synthetic\n") + line,
+            "removed_knob.conf", b.reg, err))
+            << line;
+        EXPECT_NE(err.find("removed_knob.conf:2: unknown parameter"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(ConfigFile, EmbeddedModeParsesOnlyConfLines)

@@ -158,16 +158,22 @@ TEST(ConfigParse, RegistryUnknownKeyAndBadValue)
 TEST(ConfigParse, RetiredIntraRunJobsKeyIsUnknown)
 {
     // One run is one serial event loop: there is no intra-run worker
-    // count to set, so the old key must fail like any unknown one.
+    // count to set, and the trace is always binary, written on the
+    // simulation thread, so it has no encoding or writer-ring knob.
+    // Each old key must fail like any unknown one.
     SimulationConfig sim;
     ParamRegistry reg;
     bindParams(reg, sim);
 
-    EXPECT_FALSE(reg.has("run.jobs_intra"));
-    std::string err;
-    EXPECT_FALSE(reg.set("run.jobs_intra", "4", err));
-    EXPECT_NE(err.find("unknown parameter"), std::string::npos) << err;
-    EXPECT_NE(err.find("run.jobs_intra"), std::string::npos) << err;
+    for (const char* key :
+         {"run.jobs_intra", "trace.format", "trace.buffer_records"}) {
+        EXPECT_FALSE(reg.has(key));
+        std::string err;
+        EXPECT_FALSE(reg.set(key, "4", err));
+        EXPECT_NE(err.find("unknown parameter"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
 }
 
 TEST(ConfigParse, RegistryCoversEveryGroup)

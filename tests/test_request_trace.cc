@@ -67,9 +67,6 @@ expectSameResults(const RunResult& a, const RunResult& b)
 
 TEST(RequestTrace, RecordsMatchSimulatedRequests)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const std::string path = "/tmp/dtsim_reqtrace_match.jsonl";
     const Trace trace = testTrace();
     RunOptions opts;
@@ -147,9 +144,6 @@ TEST(RequestTrace, DisabledTracerChangesNothingAndWritesNothing)
 
 TEST(RequestTrace, TracingDoesNotPerturbResults)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const std::string path = "/tmp/dtsim_reqtrace_perturb.jsonl";
     const Trace trace = testTrace();
 

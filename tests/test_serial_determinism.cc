@@ -9,7 +9,7 @@
  * tests/golden/serial_determinism.txt.
  *
  * Each artifact is pinned by its FNV-1a 64-bit digest and its line
- * count; the volatile "# runtime:" / "# trace:" header lines are
+ * count; the "# runtime:" / "# trace:" comment lines are
  * stripped from dumps first. On a mismatch the artifact is written to
  * /tmp/dtsim_serial_det_<case>.<kind> for diffing against a build of
  * the last good commit, and the failure message carries the golden
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "stats/trace.hh"
 #include "stats_text.hh"
 #include "workload/server_models.hh"
 
@@ -295,9 +294,6 @@ class SerialDeterminism
 TEST_P(SerialDeterminism, MatchesGolden)
 {
     const DeterminismCase& c = GetParam();
-    if (c.extra == Extra::Trace && !RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const SimulationConfig sim = c.config();
     Experiment built(sim);
     const std::string side =
