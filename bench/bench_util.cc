@@ -140,7 +140,7 @@ stripingSweepSpec(WorkloadKind workload, double scale)
         units.values.push_back(std::to_string(kb * kKiB));
     spec.axes.push_back(std::move(units));
     spec.axes.push_back({"system.kind", {"segm", "for"}});
-    spec.axes.push_back({"system.hdc_bytes_per_disk",
+    spec.axes.push_back({"hdc.budget_bytes_per_disk",
                          {"0", std::to_string(2 * kMiB)}});
     return spec;
 }
@@ -156,7 +156,7 @@ hdcSweepSpec(WorkloadKind workload, double scale,
 
     const std::uint64_t sizes_kb[] = {0,    256,  512,  1024,
                                       1536, 2048, 2560, 3072};
-    SweepAxis sizes{"system.hdc_bytes_per_disk", {}};
+    SweepAxis sizes{"hdc.budget_bytes_per_disk", {}};
     for (std::uint64_t kb : sizes_kb)
         sizes.values.push_back(std::to_string(kb * kKiB));
     spec.axes.push_back(std::move(sizes));

@@ -1,6 +1,5 @@
 #include "config/sim_config.hh"
 
-#include <ostream>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -34,33 +33,14 @@ systemKindTokens()
     return t;
 }
 
-// Legacy table of system.hdc_policy. "pinned" is listed first so
-// EnumTable::format() keeps rendering Oracle as "pinned" in legacy
-// keys -- pre-redesign effective-config headers stay byte-identical.
 const EnumTable<HdcPolicy>&
 hdcPolicyTokens()
 {
     static const EnumTable<HdcPolicy> t{{
-        {"pinned", HdcPolicy::Oracle},
-        {"oracle", HdcPolicy::Oracle},
-        {"online", HdcPolicy::Online},
-        {"victim", HdcPolicy::Victim},
-        {"off", HdcPolicy::Off},
-    }};
-    return t;
-}
-
-// Canonical table of hdc.policy: the new spellings render first,
-// with the deprecated aliases still accepted on input.
-const EnumTable<HdcPolicy>&
-hdcPolicyCanonicalTokens()
-{
-    static const EnumTable<HdcPolicy> t{{
         {"off", HdcPolicy::Off},
         {"oracle", HdcPolicy::Oracle},
         {"online", HdcPolicy::Online},
         {"victim", HdcPolicy::Victim},
-        {"pinned", HdcPolicy::Oracle},
     }};
     return t;
 }
@@ -116,17 +96,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
                 "controller design: segment cache + blind read-ahead "
                 "(segm), block cache + blind (block), no read-ahead "
                 "(nora), or file-oriented read-ahead (for)");
-    reg.add("system.hdc_bytes_per_disk", sys.hdc.budgetBytesPerDisk,
-            "HDC pinned-region budget per controller in bytes "
-            "(0 = HDC off; the paper's figures use 2 MiB); "
-            "deprecated alias of hdc.budget_bytes_per_disk");
-    reg.addEnum("system.hdc_policy", sys.hdc.policy,
-                hdcPolicyTokens(),
-                "host policy driving the HDC region; deprecated alias "
-                "of hdc.policy (pinned = oracle)");
-    reg.add("system.victim_ghost_blocks", sys.hdc.victimGhostBlocks,
-            "mirrored host-cache size for the victim HDC policy; "
-            "deprecated alias of hdc.ghost_blocks");
     reg.add("system.disks", sys.disks, "disks in the array");
     reg.add("system.stripe_unit_bytes", sys.stripeUnitBytes,
             "striping unit in bytes (must be a multiple of "
@@ -241,9 +210,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "(0 = final dump only)");
 
     // trace.* -- sampled-tracing knobs (docs/OBSERVABILITY.md). The
-    // defaults record everything, and the whole group is
-    // elided from effective-config headers when untouched so
-    // pre-sampling headers stay byte-identical.
+    // defaults record everything.
     TraceConfig& tc = out.traceCfg;
     reg.add("trace.sample", tc.sample,
             "probability that a completed request is recorded, drawn "
@@ -254,7 +221,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "same run reproduces the sampled set exactly");
 
     // stats.* -- live stat streaming (docs/OBSERVABILITY.md).
-    // Volatile output: elided from headers when streaming is off.
     StatsStreamConfig& st = out.stream;
     reg.add("stats.stream", st.path,
             "append framed incremental stat snapshots to this "
@@ -265,8 +231,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
 
     // fault.* -- deterministic fault injection (docs/FAULTS.md).
     // Defaults mean "off"; runs with everything at the default are
-    // byte-identical to a build without the fault layer, and the
-    // whole group is elided from effective-config headers.
+    // byte-identical to a build without the fault layer.
     FaultConfig& f = sys.fault;
     reg.add("fault.media_error_rate", f.mediaErrorRate,
             "per-attempt probability that a media access fails [0,1]");
@@ -303,13 +268,9 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "seed of the dedicated fault RNG streams");
 
     // hdc.* -- the typed host HDC policy (docs/DESIGN.md "Online
-    // HDC"). policy/budget/ghost share storage with the deprecated
-    // system.hdc_* keys; both spellings read and write the same
-    // fields. The group is elided from effective-config headers
-    // whenever the legacy keys can express the state, so
-    // pre-redesign headers stay byte-identical.
+    // HDC").
     HdcSpec& h = sys.hdc;
-    reg.addEnum("hdc.policy", h.policy, hdcPolicyCanonicalTokens(),
+    reg.addEnum("hdc.policy", h.policy, hdcPolicyTokens(),
                 "host policy driving the HDC region: off, oracle "
                 "(top-k pin set from perfect trace knowledge, pinned "
                 "at t=0), online (miss-sketch-driven incremental "
@@ -339,7 +300,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
 
     // ra.* -- feedback-directed read-ahead depth (paired with the
     // online HDC work; defaults = the paper's fixed segment-sized
-    // budget). Elided from headers when untouched.
+    // budget).
     RaSpec& r = sys.ra;
     reg.add("ra.adaptive", r.adaptive,
             "scale each controller's speculative read-ahead depth by "
@@ -433,7 +394,7 @@ validateConfig(const SimulationConfig& sim)
         sys.hdc.enabled() ? sys.hdc.budgetBytesPerDisk : 0;
     std::uint64_t carved = hdc_bytes;
     std::string carve_what =
-        "system.hdc_bytes_per_disk (" + u64s(hdc_bytes) + ")";
+        "hdc.budget_bytes_per_disk (" + u64s(hdc_bytes) + ")";
     if (sys.kind == SystemKind::FOR) {
         carved += d.bitmapBytes();
         carve_what += " plus the FOR layout bitmap (" +
@@ -447,7 +408,7 @@ validateConfig(const SimulationConfig& sim)
           sys.hdc.budgetBytesPerDisk == 0 ||
               sys.hdc.policy != HdcPolicy::Victim ||
               sys.hdc.victimGhostBlocks >= 1,
-          "system.victim_ghost_blocks must be at least 1 under the "
+          "hdc.ghost_blocks must be at least 1 under the "
           "victim HDC policy");
 
     if (sys.hdc.online()) {
@@ -585,66 +546,64 @@ validateConfig(const SimulationConfig& sim)
     return errs;
 }
 
+std::vector<ParamValue>
+paramValues(const SimulationConfig& sim)
+{
+    // Bind a copy so this works on const configs, and a default
+    // config beside it for the reference values.
+    SimulationConfig copy = sim;
+    SimulationConfig defaults;
+    ParamRegistry reg, def;
+    bindParams(reg, copy);
+    bindParams(def, defaults);
+
+    std::vector<ParamValue> out;
+    out.reserve(reg.entries().size());
+    for (std::size_t i = 0; i < reg.entries().size(); ++i) {
+        const config::ParamEntry& e = reg.entries()[i];
+        std::string v = e.get();
+        const bool changed = v != def.entries()[i].get();
+        out.push_back({e.name, std::move(v), changed});
+    }
+    return out;
+}
+
 std::string
 renderConfigHeader(const SimulationConfig& sim,
                    const std::vector<std::string>& groups)
 {
-    // Bind a copy so rendering works on const configs.
-    SimulationConfig copy = sim;
-    ParamRegistry reg;
-    bindParams(reg, copy);
+    const auto in = [](const std::string& name,
+                       const std::vector<std::string>& prefixes) {
+        for (const std::string& g : prefixes)
+            if (name.compare(0, g.size(), g) == 0)
+                return true;
+        return false;
+    };
+    const std::vector<ParamValue> params = paramValues(sim);
+
+    // The core groups always render; an optional group renders only
+    // when one of its entries differs from its default.
+    static const std::vector<std::string> optional = {
+        "trace.", "stats.", "fault.", "hdc.", "ra."};
+    std::vector<std::string> shown;
+    for (const ParamValue& p : params)
+        if (p.changed && in(p.name, optional))
+            shown.push_back(p.name.substr(0, p.name.find('.') + 1));
 
     std::ostringstream os;
     os << "# dtsim effective config -- self-describing result "
           "header;\n"
        << "# reload with `dtsim_cli --config <this file>` "
           "(docs/CONFIG.md)\n";
-    for (const config::ParamEntry& e : reg.entries()) {
-        if (!groups.empty()) {
-            bool match = false;
-            for (const std::string& g : groups)
-                match = match || e.name.compare(0, g.size(), g) == 0;
-            if (!match)
-                continue;
-        }
-        // With every fault switched off the group is pure noise (and
-        // pre-fault headers must stay byte-identical): elide it.
-        if (!sim.system.fault.enabled() &&
-            e.name.compare(0, 6, "fault.") == 0)
+    for (const ParamValue& p : params) {
+        if (!groups.empty() && !in(p.name, groups))
             continue;
-        // Same contract for the sampled-tracing and live-streaming
-        // groups: headers only mention them when a knob was touched,
-        // so pre-sampling dumps stay byte-identical.
-        if (!sim.output.traceCfg.nonDefault() &&
-            e.name.compare(0, 6, "trace.") == 0)
+        if (in(p.name, optional) && !in(p.name, shown))
             continue;
-        if (!sim.output.stream.enabled() &&
-            sim.output.stream.intervalTicks == 0 &&
-            e.name.compare(0, 6, "stats.") == 0)
-            continue;
-        // The typed hdc./ra. groups only appear once the state left
-        // what the legacy system.hdc_* keys can express (or the
-        // adaptive read-ahead was touched): pre-redesign headers
-        // stay byte-identical.
-        if (!sim.system.hdc.headerNeeded() &&
-            e.name.compare(0, 4, "hdc.") == 0)
-            continue;
-        if (!sim.system.ra.headerNeeded() &&
-            e.name.compare(0, 3, "ra.") == 0)
-            continue;
-        os << "#conf " << e.name << " = " << e.get() << "\n";
+        os << "#conf " << p.name << " = " << p.value << "\n";
     }
     os << "# end of effective config\n";
     return os.str();
-}
-
-void
-dumpEffectiveConfig(std::ostream& os, const SimulationConfig& sim)
-{
-    SimulationConfig copy = sim;
-    ParamRegistry reg;
-    bindParams(reg, copy);
-    reg.dump(os);
 }
 
 } // namespace dtsim

@@ -63,7 +63,6 @@ struct SimulationConfig
 const config::EnumTable<WorkloadKind>& workloadKindTokens();
 const config::EnumTable<SystemKind>& systemKindTokens();
 const config::EnumTable<HdcPolicy>& hdcPolicyTokens();
-const config::EnumTable<HdcPolicy>& hdcPolicyCanonicalTokens();
 const config::EnumTable<SchedulerKind>& schedulerKindTokens();
 const config::EnumTable<SegmentPolicy>& segmentPolicyTokens();
 const config::EnumTable<BlockPolicy>& blockPolicyTokens();
@@ -85,21 +84,33 @@ void bindParams(config::ParamRegistry& reg, SimulationConfig& sim);
  */
 std::vector<std::string> validateConfig(const SimulationConfig& sim);
 
+/** One registered parameter of a config, canonically formatted. */
+struct ParamValue
+{
+    std::string name;
+    std::string value;
+
+    /** The value differs from a default SimulationConfig's. */
+    bool changed;
+};
+
+/** Every parameter of `sim`, in registration order. */
+std::vector<ParamValue> paramValues(const SimulationConfig& sim);
+
 /**
- * The canonical effective-config dump: every registered parameter as
- * a "#conf key = value" line, ending with a separator comment. This
+ * The canonical effective-config dump: registered parameters as
+ * "#conf key = value" lines, ending with a separator comment. This
  * header starts every stats dump and trace file, making results
  * self-describing; feeding such a file to --config (or the loader)
- * reproduces the run. `groups`, when non-empty, restricts the dump
- * to keys under the given prefixes (e.g. {"system.", "disk."}).
+ * reproduces the run. The workload., system., disk., synthetic. and
+ * run. groups always render; each of trace., stats., fault., hdc.
+ * and ra. renders only when one of its entries is changed. `groups`,
+ * when non-empty, restricts the dump to keys under the given
+ * prefixes (e.g. {"system.", "disk."}).
  */
 std::string
 renderConfigHeader(const SimulationConfig& sim,
                    const std::vector<std::string>& groups = {});
-
-/** Dump as a plain "key = value" config file (no prefix). */
-void dumpEffectiveConfig(std::ostream& os,
-                         const SimulationConfig& sim);
 
 } // namespace dtsim
 

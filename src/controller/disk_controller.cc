@@ -6,27 +6,6 @@
 
 namespace dtsim {
 
-const char*
-cacheOrgName(CacheOrg o)
-{
-    switch (o) {
-      case CacheOrg::Segment: return "Segment";
-      case CacheOrg::Block: return "Block";
-    }
-    return "?";
-}
-
-const char*
-readAheadModeName(ReadAheadMode m)
-{
-    switch (m) {
-      case ReadAheadMode::None: return "None";
-      case ReadAheadMode::Blind: return "Blind";
-      case ReadAheadMode::FOR: return "FOR";
-    }
-    return "?";
-}
-
 DiskController::DiskController(SerialMerge& merge, ScsiBus& bus,
                                const DiskParams& params,
                                const ControllerConfig& cfg,

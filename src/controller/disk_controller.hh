@@ -46,9 +46,6 @@ enum class CacheOrg { Segment, Block };
 /** Read-ahead policy. */
 enum class ReadAheadMode { None, Blind, FOR };
 
-const char* cacheOrgName(CacheOrg o);
-const char* readAheadModeName(ReadAheadMode m);
-
 /** Per-controller configuration. */
 struct ControllerConfig
 {

@@ -95,20 +95,6 @@ Experiment::traceTo(std::string path)
 }
 
 Experiment&
-Experiment::traceWith(TraceConfig cfg)
-{
-    opts_.trace = cfg;
-    return *this;
-}
-
-Experiment&
-Experiment::traceSample(double probability)
-{
-    opts_.trace.sample = probability;
-    return *this;
-}
-
-Experiment&
 Experiment::streamTo(std::string path, Tick interval)
 {
     opts_.statsStream.path = std::move(path);
@@ -195,11 +181,17 @@ Experiment::prepare()
     if (opts_.statsIntervalTicks == 0)
         opts_.statsIntervalTicks = cfg_.output.statsIntervalTicks;
 
-    // Built mode knows the full configuration, so outputs get the
-    // complete self-describing header; replay mode leaves synthesis
-    // of a system/disk-level one to runTrace().
-    if (opts_.configHeader.empty() && !extTrace_ &&
-        (opts_.wantsStats() || !opts_.tracePath.empty()))
+    // The configuration records the outputs the run really uses, so
+    // the header rendered from it reloads to this run in both modes.
+    OutputConfig& out = cfg_.output;
+    out.statsOut = opts_.stats.path();
+    out.trace = opts_.tracePath;
+    out.traceCfg = opts_.trace;
+    out.stream = opts_.statsStream;
+    out.statsIntervalTicks = opts_.statsIntervalTicks;
+    if (opts_.configHeader.empty() &&
+        (opts_.wantsStats() || !opts_.tracePath.empty() ||
+         opts_.statsStream.enabled()))
         opts_.configHeader = renderConfigHeader(cfg_);
 }
 

@@ -133,13 +133,6 @@ class Experiment
     /** Write one sampled record per completed request to `path`. */
     Experiment& traceTo(std::string path);
 
-    /** Full sampling/format control of the trace (trace.*). */
-    Experiment& traceWith(TraceConfig cfg);
-
-    /** Record each completed request with this probability, drawn
-     * from the dedicated trace.seed RNG stream. */
-    Experiment& traceSample(double probability);
-
     /**
      * Stream framed live stat snapshots to `path` every `interval`
      * simulated ticks (0 = inherit statsEvery / the config's
@@ -152,8 +145,8 @@ class Experiment
 
     /**
      * Use this pre-rendered effective-config header; when unset,
-     * prepare() renders one from the full configuration (built mode)
-     * or leaves synthesis to the runner (replay mode).
+     * prepare() renders one from config(), whose run.*, trace. and
+     * stats. groups it first sets to the outputs the run uses.
      */
     Experiment& header(std::string text);
 

@@ -68,7 +68,7 @@ class ReplayEngine
      * commands).
      */
     using Observer = std::function<void(const TraceRecord&, Tick)>;
-    void setObserver(Observer obs) { observer_ = std::move(obs); }
+    void observe(Observer obs) { observer_ = std::move(obs); }
 
     /**
      * Replay the whole trace; returns when every record has

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 
-#include "config/sim_config.hh"
 #include "core/report.hh"
 #include "hdc/online_policy.hh"
 #include "hdc/victim_cache.hh"
@@ -48,19 +47,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     // Observability wiring. The service histograms are only attached
     // when a stats destination is configured, so plain runs pay
     // nothing; the tracer's fast-path guard is an inline null check.
-    // Every output begins with the effective-config header; callers
-    // that built the run from a full SimulationConfig pass theirs,
-    // direct runTrace() calls get a system/disk-level one.
-    std::string config_header = opts.configHeader;
-    if (config_header.empty() &&
-        (opts.wantsStats() || !opts.tracePath.empty() ||
-         opts.statsStream.enabled())) {
-        SimulationConfig sim;
-        sim.system = cfg;
-        sim.output.traceCfg = opts.trace;
-        config_header = renderConfigHeader(
-            sim, {"system.", "disk.", "trace.", "fault."});
-    }
+    // Every output begins with the caller's effective-config header
+    // (Experiment renders it).
+    const std::string& config_header = opts.configHeader;
 
     StatsSink::Writer stats_out = opts.stats.open("runTrace");
     if (stats_out)
@@ -87,8 +76,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
                   "(or run.stats_interval_ticks) > 0");
         stream_out =
             StatsSink::file(opts.statsStream.path).open("stats stream");
-        if (!config_header.empty())
-            stream_out.os() << config_header;
+        stream_out.os() << config_header;
         stream_out.os().flush();
     }
 
@@ -127,7 +115,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     if (cfg.hdc.enabled() && cfg.hdc.policy == HdcPolicy::Victim) {
         victim = std::make_unique<VictimHdcManager>(
             array, cfg.hdc.victimGhostBlocks);
-        engine.setObserver(
+        engine.observe(
             [&victim](const TraceRecord& rec, Tick) {
                 victim->onAccess(rec.start, rec.count);
             });
@@ -139,7 +127,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     std::unique_ptr<OnlineHdcPolicy> online;
     if (cfg.hdc.online()) {
         online = std::make_unique<OnlineHdcPolicy>(array, cfg.hdc);
-        engine.setObserver(
+        engine.observe(
             [&online](const TraceRecord& rec, Tick) {
                 online->onAccess(rec.start, rec.count);
             });

@@ -57,9 +57,8 @@ struct RunOptions
      * Pre-rendered effective-config header (renderConfigHeader in
      * config/sim_config.hh) written at the top of every stats dump
      * and trace file so results are self-describing and reload via
-     * `--config`. When empty, runTrace() synthesizes one covering
-     * the system./disk. groups -- callers that know the full
-     * workload configuration (the CLI and the sweep driver) set it.
+     * `--config`. Experiment::prepare() renders it from the full
+     * configuration unless the caller set one.
      */
     std::string configHeader;
 

@@ -177,7 +177,6 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
         }
         if (w.hasFsStats)
             e.fsStats(w.fsStats);
-        e.header(renderConfigHeader(p.cfg));
 
         batch_point.push_back(i);
         batch.push_back(std::move(e));

@@ -8,10 +8,8 @@
  * policy choice (off | oracle | online | victim), the per-disk byte
  * budget, and the knobs of the online planner (re-plan cadence,
  * count-min sketch shape, candidate-pool size, phase-change
- * threshold). It is registered as the `hdc.*` parameter group; the
- * legacy `system.hdc_bytes_per_disk` / `system.hdc_policy` /
- * `system.victim_ghost_blocks` keys stay bound to the same fields so
- * existing configs and result headers keep loading unchanged.
+ * threshold). It is registered as the `hdc.*` parameter group, the
+ * one spelling of these knobs.
  *
  * RaSpec is the matching feedback-directed read-ahead specification
  * (the `ra.*` group): when adaptive, each controller scales its
@@ -125,25 +123,6 @@ struct HdcSpec
             return UINT64_MAX;
         return total;
     }
-
-    /**
-     * True when the hdc.* group must appear in effective-config
-     * headers: the policy or an online knob left the state the legacy
-     * system.hdc_* keys can express. Keeping the group elided
-     * otherwise preserves pre-redesign headers byte for byte.
-     */
-    bool
-    headerNeeded() const
-    {
-        const HdcSpec d;
-        return policy == HdcPolicy::Online ||
-               policy == HdcPolicy::Off ||
-               replanIntervalTicks != d.replanIntervalTicks ||
-               sketchRows != d.sketchRows ||
-               sketchCols != d.sketchCols ||
-               candidateBlocks != d.candidateBlocks ||
-               churnThreshold != d.churnThreshold;
-    }
 };
 
 /** Feedback-directed read-ahead depth control (the ra.* group). */
@@ -173,18 +152,6 @@ struct RaSpec
 
     /** Window accuracy at or above which the depth doubles. */
     double highAccuracy = 0.85;
-
-    /** True when the ra.* group must appear in config headers. */
-    bool
-    headerNeeded() const
-    {
-        const RaSpec d;
-        return adaptive || minBlocks != d.minBlocks ||
-               maxBlocks != d.maxBlocks ||
-               windowBlocks != d.windowBlocks ||
-               lowAccuracy != d.lowAccuracy ||
-               highAccuracy != d.highAccuracy;
-    }
 };
 
 } // namespace dtsim

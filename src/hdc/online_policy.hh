@@ -7,8 +7,7 @@
  * (hdc_planner.hh). This policy earns the region at runtime instead:
  *
  *  - Observe: every host buffer-cache miss (the replayed trace is
- *    exactly that stream; BufferCache::setObserver feeds the same
- *    sketch at generation time) bumps the block in a count-min
+ *    exactly that stream) bumps the block in a count-min
  *    sketch with conservative update, and refreshes the block in a
  *    bounded LRU candidate pool that caps re-plan cost.
  *  - Re-plan: every replan interval a host-side front event ranks
@@ -86,10 +85,7 @@ class OnlineHdcPolicy
      */
     void onAccess(ArrayBlock start, std::uint64_t count);
 
-    /**
-     * Observe a single-block miss, e.g. from
-     * BufferCache::setObserver at workload-generation time.
-     */
+    /** Observe a single-block miss (onAccess calls it per block). */
     void observeMiss(ArrayBlock block);
 
     /**

@@ -64,13 +64,6 @@ struct TraceConfig
     std::uint64_t seed = 1;
 
     bool operator==(const TraceConfig&) const = default;
-
-    /** True when any knob differs from its default. */
-    bool
-    nonDefault() const
-    {
-        return sample != 1.0 || seed != 1;
-    }
 };
 
 /** One completed request, as written to / parsed from a trace. */

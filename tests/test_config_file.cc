@@ -80,11 +80,15 @@ TEST(ConfigFile, ErrorsCarryFileAndLine)
 
 TEST(ConfigFile, RetiredIntraRunJobsKeyFailsWithFileAndLine)
 {
-    // The retired intra-run worker count, trace encoding and trace
-    // writer-ring capacity all fail as unknown keys.
+    // The retired intra-run worker count, trace encoding, trace
+    // writer-ring capacity and system.hdc_* spellings of the hdc.*
+    // keys all fail as unknown keys.
     for (const char* line : {"run.jobs_intra = 4\n",
                              "trace.format = jsonl\n",
-                             "trace.buffer_records = 16\n"}) {
+                             "trace.buffer_records = 16\n",
+                             "system.hdc_bytes_per_disk = 2097152\n",
+                             "system.hdc_policy = oracle\n",
+                             "system.victim_ghost_blocks = 16\n"}) {
         Bound b;
         std::string err;
         EXPECT_FALSE(loadConfigText(
@@ -95,6 +99,16 @@ TEST(ConfigFile, RetiredIntraRunJobsKeyFailsWithFileAndLine)
                   std::string::npos)
             << err;
     }
+
+    // "pinned", the oracle's retired spelling, is a bad hdc.policy.
+    Bound b;
+    std::string err;
+    EXPECT_FALSE(loadConfigText(
+        "workload.kind = synthetic\nhdc.policy = pinned\n",
+        "removed_knob.conf", b.reg, err));
+    EXPECT_NE(err.find("removed_knob.conf:2: hdc.policy"),
+              std::string::npos)
+        << err;
 }
 
 TEST(ConfigFile, EmbeddedModeParsesOnlyConfLines)
@@ -129,7 +143,7 @@ TEST(ConfigFile, RenderedHeaderReloadsIdentically)
     ASSERT_TRUE(src.reg.set("workload.kind", "proxy", err)) << err;
     ASSERT_TRUE(src.reg.set("workload.scale", "0.013", err)) << err;
     ASSERT_TRUE(src.reg.set("system.kind", "for", err)) << err;
-    ASSERT_TRUE(src.reg.set("system.hdc_bytes_per_disk", "2097152",
+    ASSERT_TRUE(src.reg.set("hdc.budget_bytes_per_disk", "2097152",
                             err))
         << err;
     ASSERT_TRUE(src.reg.set("disk.seek_alpha_ms", "1.55", err)) << err;

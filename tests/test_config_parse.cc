@@ -160,13 +160,16 @@ TEST(ConfigParse, RetiredIntraRunJobsKeyIsUnknown)
     // One run is one serial event loop: there is no intra-run worker
     // count to set, and the trace is always binary, written on the
     // simulation thread, so it has no encoding or writer-ring knob.
-    // Each old key must fail like any unknown one.
+    // The HDC knobs are spelled hdc.* only. Each old key must fail
+    // like any unknown one.
     SimulationConfig sim;
     ParamRegistry reg;
     bindParams(reg, sim);
 
     for (const char* key :
-         {"run.jobs_intra", "trace.format", "trace.buffer_records"}) {
+         {"run.jobs_intra", "trace.format", "trace.buffer_records",
+          "system.hdc_bytes_per_disk", "system.hdc_policy",
+          "system.victim_ghost_blocks"}) {
         EXPECT_FALSE(reg.has(key));
         std::string err;
         EXPECT_FALSE(reg.set(key, "4", err));
@@ -174,6 +177,12 @@ TEST(ConfigParse, RetiredIntraRunJobsKeyIsUnknown)
             << err;
         EXPECT_NE(err.find(key), std::string::npos) << err;
     }
+
+    // "pinned", the oracle's retired spelling, is not a policy token.
+    std::string err;
+    EXPECT_FALSE(reg.set("hdc.policy", "pinned", err));
+    EXPECT_NE(err.find("hdc.policy"), std::string::npos) << err;
+    EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Oracle);
 }
 
 TEST(ConfigParse, RegistryCoversEveryGroup)

@@ -104,8 +104,8 @@ TEST(ConfigRoundTrip, NonDefaultEverything)
 
 TEST(ConfigRoundTrip, OnlineHdcAndAdaptiveRa)
 {
-    // Every hdc.* and ra.* knob off its default: the new groups must
-    // survive a dump/reload and the legacy aliases must agree.
+    // Every hdc.* and ra.* knob off its default: both groups must
+    // survive a dump/reload.
     SimulationConfig sim = smallBase();
     sim.system.hdc.policy = HdcPolicy::Online;
     sim.system.hdc.budgetBytesPerDisk = 384 * kKiB;
@@ -123,27 +123,25 @@ TEST(ConfigRoundTrip, OnlineHdcAndAdaptiveRa)
     expectRoundTrip(sim);
 }
 
-TEST(ConfigRoundTrip, LegacyHdcAliasesTrackSpec)
+TEST(ConfigRoundTrip, HdcKeysSetTheSpec)
 {
-    // The deprecated system.hdc_* keys are bound to the same fields
-    // as hdc.*: setting through the old names must land in the spec.
+    // hdc.* is the one spelling of the HDC knobs: setting a key must
+    // land in the spec field it documents.
     SimulationConfig sim;
     config::ParamRegistry reg;
     bindParams(reg, sim);
     std::string err;
-    ASSERT_TRUE(reg.set("system.hdc_bytes_per_disk", "1048576", err))
+    ASSERT_TRUE(reg.set("hdc.budget_bytes_per_disk", "1048576", err))
         << err;
-    ASSERT_TRUE(reg.set("system.hdc_policy", "victim", err)) << err;
-    ASSERT_TRUE(reg.set("system.victim_ghost_blocks", "777", err))
-        << err;
+    ASSERT_TRUE(reg.set("hdc.policy", "victim", err)) << err;
+    ASSERT_TRUE(reg.set("hdc.ghost_blocks", "777", err)) << err;
     EXPECT_EQ(sim.system.hdc.budgetBytesPerDisk, kMiB);
     EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Victim);
     EXPECT_EQ(sim.system.hdc.victimGhostBlocks, 777u);
 
     ASSERT_TRUE(reg.set("hdc.policy", "online", err)) << err;
     EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Online);
-    // "pinned" remains accepted as the oracle's legacy spelling.
-    ASSERT_TRUE(reg.set("hdc.policy", "pinned", err)) << err;
+    ASSERT_TRUE(reg.set("hdc.policy", "oracle", err)) << err;
     EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Oracle);
 }
 

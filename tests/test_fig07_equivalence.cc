@@ -33,7 +33,7 @@ TEST(Fig07Equivalence, SweepFileMatchesHandWiredRuns)
         "workload.scale = " + std::to_string(kScale) + "\n"
         "sweep system.stripe_unit_bytes = 16384, 65536\n"
         "sweep system.kind = segm, for\n"
-        "sweep system.hdc_bytes_per_disk = 0, 2097152\n";
+        "sweep hdc.budget_bytes_per_disk = 0, 2097152\n";
 
     SweepSpec spec;
     std::string err;

@@ -2,9 +2,8 @@
  * @file
  * Tests for the online HDC host policy (hdc.policy = online): the
  * miss sketch, re-plan ranking, oracle convergence, phase-change
- * detection, the unified pin router it issues deltas through, the
- * buffer-cache observer hook that can feed it, and the adaptive FOR
- * read-ahead depth control that ships alongside it.
+ * detection, the unified pin router it issues deltas through, and
+ * the adaptive FOR read-ahead depth control that ships alongside it.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <sstream>
 
 #include "core/experiment.hh"
-#include "fs/buffer_cache.hh"
 #include "hdc/hdc_planner.hh"
 #include "hdc/online_policy.hh"
 #include "stats_text.hh"
@@ -238,11 +236,18 @@ TEST(OnlineHdc, HeaderElisionFollowsPolicy)
 {
     SimulationConfig sim;
     const std::string plain = renderConfigHeader(sim);
-    // Defaults: the legacy aliases print, the new groups stay silent.
-    EXPECT_NE(plain.find("system.hdc_bytes_per_disk"),
-              std::string::npos);
+    // Defaults: the optional groups stay silent.
     EXPECT_EQ(plain.find("#conf hdc."), std::string::npos);
     EXPECT_EQ(plain.find("#conf ra."), std::string::npos);
+
+    // One changed entry shows its whole group.
+    sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+    const std::string oracle = renderConfigHeader(sim);
+    EXPECT_NE(oracle.find("#conf hdc.policy = oracle"),
+              std::string::npos);
+    EXPECT_NE(oracle.find("#conf hdc.churn_threshold = 0.5"),
+              std::string::npos);
+    EXPECT_EQ(oracle.find("#conf ra."), std::string::npos);
 
     sim.system.hdc.policy = HdcPolicy::Online;
     sim.system.ra.adaptive = true;
@@ -275,39 +280,6 @@ TEST(PinRouter, ImmediateBeforeRunDeferredDuring)
     });
     r.eq.run();
     EXPECT_EQ(r.pinnedTotal(), 1u);
-}
-
-TEST(BufferCacheObserver, FiresOnMissesAndEvictionsOnly)
-{
-    BufferCache bc(4);
-    std::vector<ArrayBlock> misses;
-    std::vector<ArrayBlock> evicts;
-    bc.setObserver([&](ArrayBlock b) { misses.push_back(b); },
-                   [&](ArrayBlock b) { evicts.push_back(b); });
-
-    std::vector<ArrayBlock> wb;
-    EXPECT_FALSE(bc.readHit(7));          // Miss.
-    bc.install(7, wb);
-    EXPECT_TRUE(bc.readHit(7));           // Hit: no callback.
-    ASSERT_EQ(misses.size(), 1u);
-    EXPECT_EQ(misses[0], 7u);
-    EXPECT_TRUE(evicts.empty());
-
-    for (ArrayBlock b = 10; b < 14; ++b)  // Fill; evicts 7.
-        bc.install(b, wb);
-    ASSERT_EQ(evicts.size(), 1u);
-    EXPECT_EQ(evicts[0], 7u);
-
-    // Observation only: stats match an unobserved cache.
-    BufferCache plain(4);
-    std::vector<ArrayBlock> wb2;
-    plain.readHit(7);
-    plain.install(7, wb2);
-    plain.readHit(7);
-    for (ArrayBlock b = 10; b < 14; ++b)
-        plain.install(b, wb2);
-    EXPECT_EQ(plain.stats().readMisses, bc.stats().readMisses);
-    EXPECT_EQ(plain.stats().evictions, bc.stats().evictions);
 }
 
 TEST(AdaptiveRa, DepthControlRunsAndExports)

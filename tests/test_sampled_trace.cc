@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,20 +51,23 @@ testTrace(std::uint64_t requests = 300, double writes = 0.1)
 }
 
 /**
- * Drop the "#conf trace.*" header lines: a run with non-default
- * sampling records it in the self-describing header (by design), but
- * everything below the header must match a run without tracing.
+ * Drop the "#conf" header lines under `prefixes`: a run records its
+ * trace path, sampling and stream knobs in the self-describing header
+ * (by design), but everything else must match a run without them.
  */
 std::string
-stripTraceConf(const std::string& dump)
+dropConf(const std::string& text,
+         std::initializer_list<const char*> prefixes)
 {
-    std::istringstream in(dump);
+    std::istringstream in(text);
     std::ostringstream out;
     std::string line;
     while (std::getline(in, line)) {
-        if (line.rfind("#conf trace.", 0) == 0)
-            continue;
-        out << line << "\n";
+        bool drop = false;
+        for (const char* p : prefixes)
+            drop = drop || line.rfind(std::string("#conf ") + p, 0) == 0;
+        if (!drop)
+            out << line << "\n";
     }
     return out.str();
 }
@@ -330,12 +334,13 @@ TEST(SampledTrace, SamplingIsDeterministicPerSeed)
         test::replayTrace(cfg, trace, nullptr, nullptr, opts);
 
     // Same seed: the sampled set is reproducible, the whole file
-    // byte-identical (headers only differ in run.trace, which the
-    // synthesized replay header does not include).
+    // byte-identical but for the header's run.trace path.
     EXPECT_EQ(ra.traceRecords, rbb.traceRecords);
     EXPECT_EQ(ra.traceSampledOut, rbb.traceSampledOut);
-    EXPECT_EQ(slurp("/tmp/dtsim_trace_sample_a.bin"),
-              slurp("/tmp/dtsim_trace_sample_b.bin"));
+    EXPECT_EQ(dropConf(slurp("/tmp/dtsim_trace_sample_a.bin"),
+                       {"run.trace "}),
+              dropConf(slurp("/tmp/dtsim_trace_sample_b.bin"),
+                       {"run.trace "}));
 
     // Every completion candidate was either recorded or sampled out.
     EXPECT_EQ(ra.traceRecords + ra.traceSampledOut, ra.requests);
@@ -380,8 +385,10 @@ TEST(SampledTrace, SampleZeroIsPure)
     expectSameResults(rp, rt);
     EXPECT_EQ(rt.traceRecords, 0u);
     EXPECT_EQ(rt.traceSampledOut, rt.requests);
-    EXPECT_EQ(test::stripRuntime(plain_stats.str()),
-              stripTraceConf(test::stripRuntime(traced_stats.str())));
+    EXPECT_EQ(dropConf(test::stripRuntime(plain_stats.str()),
+                       {"run.trace "}),
+              dropConf(test::stripRuntime(traced_stats.str()),
+                       {"run.trace ", "trace."}));
 
     std::vector<RequestTraceEvent> events;
     ASSERT_TRUE(readTraceFile("/tmp/dtsim_trace_sample0.bin", events));
@@ -518,7 +525,8 @@ TEST(StatsStream, StreamingDoesNotPerturbResults)
 
     expectSameResults(rp, rs);
     EXPECT_EQ(test::stripRuntime(plain_stats.str()),
-              test::stripRuntime(streamed_stats.str()));
+              dropConf(test::stripRuntime(streamed_stats.str()),
+                       {"stats."}));
     std::remove("/tmp/dtsim_stream_purity.txt");
 }
 
@@ -549,7 +557,8 @@ TEST(StatsStream, StreamingAlongsideSnapshotsDoesNotPerturbDump)
     expectSameResults(rp, rs);
     const std::string dump = test::stripRuntime(plain_stats.str());
     ASSERT_NE(dump.find("# snapshot @"), std::string::npos);
-    EXPECT_EQ(dump, test::stripRuntime(streamed_stats.str()));
+    EXPECT_EQ(dump, dropConf(test::stripRuntime(streamed_stats.str()),
+                             {"stats."}));
     const FrameScan s = scanFrames(path);
     EXPECT_EQ(s.frames, rs.streamFrames);
     EXPECT_EQ(s.ends, s.frames);

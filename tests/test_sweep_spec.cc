@@ -117,7 +117,7 @@ TEST(SweepSpec, MarksInfeasiblePoints)
     const std::uint64_t too_big_for_for =
         ((usable - bitmap) / 4096) * 4096 + 4096;
     spec.axes.push_back({"system.kind", {"segm", "for"}});
-    spec.axes.push_back({"system.hdc_bytes_per_disk",
+    spec.axes.push_back({"hdc.budget_bytes_per_disk",
                          {"0", std::to_string(too_big_for_for)}});
 
     std::string err;

@@ -74,7 +74,7 @@ usage()
         "  --hdc-kb N          per-disk HDC budget in KiB\n"
         "                      (hdc.budget_bytes_per_disk)\n"
         "  --hdc-policy P      off|oracle|online|victim\n"
-        "                      (hdc.policy; pinned = oracle)\n"
+        "                      (hdc.policy)\n"
         "  --disks N           array size (system.disks)\n"
         "  --unit-kb N         striping unit in KiB\n"
         "                      (system.stripe_unit_bytes)\n"
@@ -90,9 +90,8 @@ usage()
         "  --stats-out FILE    write the full stats dump to FILE\n"
         "                      (run.stats_out); under a sweep each\n"
         "                      point writes FILE.<key-value>[...], plus\n"
-        "                      non-default fault./hdc./ra. params when\n"
-        "                      a fault scenario or HDC/read-ahead\n"
-        "                      policy is configured\n"
+        "                      every non-default fault./hdc./ra.\n"
+        "                      param\n"
         "  --trace FILE        one sampled 64-byte binary record per\n"
         "                      completed request (run.trace;\n"
         "                      `trace_summary --to-jsonl` converts,\n"
@@ -266,10 +265,10 @@ fileToken(const std::string& v)
 /**
  * Output-file suffix of a sweep point: one ".key-value" element per
  * coordinate (leaf key only), so files from different axes never
- * collide even when two axes share a value. When the point carries a
- * fault scenario, the non-default fault.* parameters are appended
- * too, disambiguating per-scenario outputs of otherwise identical
- * coordinates (e.g. `--system all` under a disk-kill script).
+ * collide even when two axes share a value. Every changed fault.*,
+ * hdc.* and ra.* parameter that is not a coordinate is appended too,
+ * so a fault scenario or an HDC/read-ahead policy (e.g. under
+ * `--system all`) does not write over the plain run's files.
  */
 std::string
 coordSuffix(const SweepPoint& p)
@@ -281,54 +280,17 @@ coordSuffix(const SweepPoint& p)
              kv.first.substr(dot == std::string::npos ? 0 : dot + 1) +
              "-" + fileToken(kv.second);
     }
-    // Same treatment for the HDC and read-ahead policy groups: a
-    // sweep mixing policies (or an adaptive-RA run) must not write
-    // over the plain run's files.
-    const bool want_fault = p.cfg.system.fault.enabled();
-    const bool want_hdc = p.cfg.system.hdc.enabled() ||
-                          p.cfg.system.hdc.headerNeeded();
-    const bool want_ra = p.cfg.system.ra.headerNeeded();
-    if (want_fault || want_hdc || want_ra) {
-        // Two registries: one bound to the point (current values),
-        // one to a default config (true defaults); only deviations
-        // that are not already sweep coordinates are appended.
-        SimulationConfig cur_cfg = p.cfg;
-        SimulationConfig def_cfg;
-        config::ParamRegistry cur, def;
-        bindParams(cur, cur_cfg);
-        bindParams(def, def_cfg);
-        const std::vector<config::ParamEntry>& defs = def.entries();
-        const std::vector<config::ParamEntry>& curs = cur.entries();
-        for (std::size_t i = 0;
-             i < curs.size() && i < defs.size(); ++i) {
-            const config::ParamEntry& e = curs[i];
-            const bool take =
-                (want_fault && e.name.compare(0, 6, "fault.") == 0) ||
-                (want_hdc && e.name.compare(0, 4, "hdc.") == 0) ||
-                (want_ra && e.name.compare(0, 3, "ra.") == 0);
-            if (!take)
-                continue;
-            // The legacy system.hdc_* keys alias hdc.* fields; a
-            // sweep axis over either spelling covers both.
-            std::string alias;
-            if (e.name == "hdc.policy")
-                alias = "system.hdc_policy";
-            else if (e.name == "hdc.budget_bytes_per_disk")
-                alias = "system.hdc_bytes_per_disk";
-            else if (e.name == "hdc.ghost_blocks")
-                alias = "system.victim_ghost_blocks";
-            bool is_axis = false;
-            for (const auto& kv : p.coords)
-                is_axis = is_axis || kv.first == e.name ||
-                          (!alias.empty() && kv.first == alias);
-            if (is_axis)
-                continue;
-            const std::string v = e.get();
-            if (v == defs[i].get())
-                continue;
-            s += "." + e.name.substr(e.name.find('.') + 1) + "-" +
-                 fileToken(v);
-        }
+    for (const ParamValue& v : paramValues(p.cfg)) {
+        const std::string group = v.name.substr(0, v.name.find('.'));
+        if (!v.changed ||
+            (group != "fault" && group != "hdc" && group != "ra"))
+            continue;
+        bool is_axis = false;
+        for (const auto& kv : p.coords)
+            is_axis = is_axis || kv.first == v.name;
+        if (!is_axis)
+            s += "." + v.name.substr(group.size() + 1) + "-" +
+                 fileToken(v.value);
     }
     return s;
 }
