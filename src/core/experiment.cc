@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,19 @@
 #include "sim/logging.hh"
 
 namespace dtsim {
+
+namespace {
+
+/** Milliseconds of host wall time since `begin`. */
+double
+msSince(std::chrono::steady_clock::time_point begin)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - begin)
+        .count();
+}
+
+} // namespace
 
 Experiment::Experiment(SimulationConfig sim) : cfg_(std::move(sim)) {}
 
@@ -154,18 +168,24 @@ Experiment::prepare()
                 os << "\n  " << e;
             fatal("invalid configuration:%s", os.str().c_str());
         }
+        const auto begin = std::chrono::steady_clock::now();
         workload_ = buildWorkload(cfg_);
+        opts_.prepared.workloadMs = msSince(begin);
     }
 
     const SystemConfig& sys = cfg_.system;
     if (!extBitmaps_ && sys.kind == SystemKind::FOR &&
         workload_.image) {
+        const auto begin = std::chrono::steady_clock::now();
         ownBitmaps_ = workload_.image->buildBitmaps(striping());
+        opts_.prepared.layoutMs = msSince(begin);
     }
     if (!extPins_ && sys.hdc.enabled() &&
         sys.hdc.policy == HdcPolicy::Oracle) {
+        const auto begin = std::chrono::steady_clock::now();
         ownPins_ = selectPinnedBlocks(theTrace(), striping(),
                                       hdcBlocksPerDisk(sys));
+        opts_.prepared.planMs = msSince(begin);
     }
 
     // Output destinations the caller did not set fluently come from

@@ -18,6 +18,9 @@ printRuntimeLine(std::ostream& os, const RunResult& r)
     os << "# runtime: events=" << r.eventsFired
        << " wall_ms=" << r.wallSeconds * 1.0e3
        << " events_per_sec=" << r.eventsPerSec()
+       << " workload_ms=" << r.prepared.workloadMs
+       << " layout_ms=" << r.prepared.layoutMs
+       << " plan_ms=" << r.prepared.planMs
        << " (volatile; excluded from determinism comparisons)\n";
 }
 

@@ -241,6 +241,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.eventsFired = eq.fired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
+    res.prepared = opts.prepared;
     if (victim) {
         res.victimPins = victim->pins();
         res.victimUnpins = victim->unpins();

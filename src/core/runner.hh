@@ -27,6 +27,18 @@
 
 namespace dtsim {
 
+/**
+ * Host wall-clock milliseconds of the phases Experiment::prepare()
+ * runs before the replay. Volatile: printed only on the "# runtime:"
+ * line, never part of deterministic output.
+ */
+struct PreparePhases
+{
+    double workloadMs = 0.0;  ///< Workload build (trace generation).
+    double layoutMs = 0.0;    ///< FOR layout bitmaps.
+    double planMs = 0.0;      ///< Oracle HDC pin plan.
+};
+
 /** Observability options of one run (all off by default). */
 struct RunOptions
 {
@@ -78,6 +90,9 @@ struct RunOptions
      * trace generation, not during replay).
      */
     const BufferCacheStats* fsStats = nullptr;
+
+    /** What preparing the run cost; passed through to RunResult. */
+    PreparePhases prepared;
 
     /** True when any stats output destination is configured. */
     bool
@@ -178,6 +193,9 @@ struct RunResult
      * Volatile by nature; never part of deterministic output.
      */
     double wallSeconds = 0.0;
+
+    /** Host wall time of the preparation phases (RunOptions). */
+    PreparePhases prepared;
 
     /** eventsFired / wallSeconds (0 when wall time was unmeasurably
      * small). */

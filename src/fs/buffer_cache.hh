@@ -13,8 +13,20 @@
  * The LRU is a pre-allocated slot slab plus an open-addressing
  * block->slot table (capacity is fixed at construction), so the
  * per-access path -- millions of lookups per generated server trace --
- * performs no heap allocation. Decisions are tick-identical to the
- * previous std::list + std::unordered_map implementation.
+ * performs no heap allocation. The generator is bound by memory
+ * latency, not arithmetic, so the layout serves two access patterns:
+ *
+ *  - Lookups probe the table at a hash slot known from the block
+ *    alone; prefetch() starts that fetch early, and makeServerWorkload
+ *    issues it for the next request while the current one runs.
+ *  - sync() and dropAll() never walk the LRU list. A free slot always
+ *    reads clean (eviction clears the flag), so sync() scans the slab
+ *    in slot order and dropAll() frees the whole slab at once; the
+ *    dirty blocks come back in ascending order.
+ *
+ * Decisions are tick-identical to a std::list + std::unordered_map
+ * LRU (tests/test_container_equiv.cc), and audit() checks the slab,
+ * list and table accounting in every build.
  */
 
 #ifndef DTSIM_FS_BUFFER_CACHE_HH
@@ -87,6 +99,7 @@ class BufferCache
 
     /**
      * Collect and clean all dirty blocks (periodic sync).
+     * @return The dirty blocks, in ascending block order.
      */
     std::vector<ArrayBlock> sync();
 
@@ -94,9 +107,23 @@ class BufferCache
      * Drop the entire cache contents (e.g. nightly batch jobs
      * evicting the day's working set).
      *
-     * @return The dirty blocks that must reach the disk.
+     * @return The dirty blocks that must reach the disk, in ascending
+     *         block order.
      */
     std::vector<ArrayBlock> dropAll();
+
+    /**
+     * Start fetching the table slot a lookup of `block` will probe
+     * first. A hint only: no state or statistic changes.
+     */
+    void prefetch(ArrayBlock block) const { map_.prefetch(block); }
+
+    /**
+     * Check the slab, list and table accounting; fatal() on a
+     * violation. O(capacity), and compiled in every build, unlike the
+     * per-operation Debug checks.
+     */
+    void audit() const;
 
     bool contains(ArrayBlock block) const;
     std::uint64_t size() const { return map_.size(); }

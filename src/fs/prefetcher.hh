@@ -48,6 +48,9 @@ class Prefetcher
                        std::uint64_t count,
                        std::uint64_t file_blocks);
 
+    /** Start fetching `file`'s window state ahead of a plan(). */
+    void prefetch(std::uint32_t file) const { state_.prefetch(file); }
+
     /** Drop all per-file history. */
     void reset() { state_.clear(); }
 

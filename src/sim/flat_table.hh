@@ -75,6 +75,20 @@ class FlatTable
     bool contains(std::uint64_t key) const { return probe(key) != kNone; }
 
     /**
+     * Start fetching `key`'s home slot into the CPU cache, so a
+     * lookup issued a little later does not stall on memory. A hint
+     * only: the table is not read or changed.
+     */
+    void
+    prefetch(std::uint64_t key) const
+    {
+        const std::size_t i = home(key);
+        __builtin_prefetch(&used_[i]);
+        __builtin_prefetch(&keys_[i]);
+        __builtin_prefetch(&vals_[i]);
+    }
+
+    /**
      * Insert `key` -> `val` if absent.
      * @return The mapped value slot and whether it was inserted.
      */

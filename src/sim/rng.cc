@@ -1,5 +1,6 @@
 #include "sim/rng.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -141,6 +142,8 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
         throw std::invalid_argument("ZipfSampler: n must be >= 1");
     if (alpha < 0.0)
         throw std::invalid_argument("ZipfSampler: alpha must be >= 0");
+    if (n > UINT32_MAX)
+        throw std::invalid_argument("ZipfSampler: n must be < 2^32");
 
     cdf_.resize(n);
     double acc = 0.0;
@@ -152,15 +155,34 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
     for (auto& c : cdf_)
         c /= total;
     cdf_.back() = 1.0;
+
+    guide_.resize(n + 1);
+    std::size_t i = 0;
+    for (std::size_t k = 0; k <= n; ++k) {
+        const double edge =
+            static_cast<double>(k) / static_cast<double>(n);
+        while (cdf_[i] < edge)  // Ends: cdf_.back() == 1.0 >= edge.
+            ++i;
+        guide_[k] = static_cast<std::uint32_t>(i);
+    }
 }
 
 std::size_t
-ZipfSampler::sample(Rng& rng) const
+ZipfSampler::indexFor(double u) const
 {
-    const double u = rng.uniform();
+    const std::size_t n = cdf_.size();
+    const std::size_t k = std::min(
+        n - 1, static_cast<std::size_t>(u * static_cast<double>(n)));
+    std::size_t lo = guide_[k];
+    std::size_t hi = guide_[k + 1];
+    // Rounding in u*n or k/n can put the answer just outside the
+    // bucket: the range must start after the last CDF < u and end at
+    // a CDF >= u, or the search covers the whole table.
+    if ((lo > 0 && cdf_[lo - 1] >= u) || cdf_[hi] < u) {
+        lo = 0;
+        hi = n - 1;
+    }
     // Binary search for the first CDF entry >= u.
-    std::size_t lo = 0;
-    std::size_t hi = cdf_.size() - 1;
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
         if (cdf_[mid] < u)

@@ -66,8 +66,11 @@ class Rng
  * alpha: P(rank i) proportional to 1 / i^alpha.
  *
  * alpha = 0 degenerates to the uniform distribution; alpha = 1 is the
- * classic Zipf law. A full CDF table is precomputed so sampling is a
- * binary search (O(log n)) and exact.
+ * classic Zipf law. A full CDF table is precomputed so sampling is
+ * exact: a draw is the first index whose CDF reaches a uniform u. A
+ * guide table of n equal-width u buckets narrows the binary search to
+ * the few indices of u's bucket, so a draw touches two or three cache
+ * lines instead of log2(n) scattered ones.
  */
 class ZipfSampler
 {
@@ -78,8 +81,11 @@ class ZipfSampler
      */
     ZipfSampler(std::size_t n, double alpha);
 
-    /** Sample a 0-based item index in [0, n). */
-    std::size_t sample(Rng& rng) const;
+    /** Sample a 0-based item index in [0, n); one uniform() draw. */
+    std::size_t sample(Rng& rng) const { return indexFor(rng.uniform()); }
+
+    /** The first 0-based index whose CDF is >= u, for u in [0, 1). */
+    std::size_t indexFor(double u) const;
 
     /** Probability mass of 0-based item i. */
     double pmf(std::size_t i) const;
@@ -92,6 +98,13 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
+
+    /**
+     * guide_[k] = first index whose CDF is >= k/n, for k in [0, n];
+     * u in bucket k = floor(u*n) then lies in [guide_[k],
+     * guide_[k+1]], up to rounding at the bucket edges.
+     */
+    std::vector<std::uint32_t> guide_;
     double alpha_;
 };
 

@@ -31,13 +31,21 @@ template <typename T>
 class Slab
 {
   public:
-    explicit Slab(std::uint32_t capacity)
-        : nodes_(capacity), freeCount_(capacity)
+    explicit Slab(std::uint32_t capacity) : nodes_(capacity) { freeAll(); }
+
+    /**
+     * Return every slot to the freelist at once (the lists over this
+     * slab must be dropped too). Payloads are left as they are.
+     */
+    void
+    freeAll()
     {
         // Thread the freelist through next so allocation is O(1).
-        for (std::uint32_t i = 0; i < capacity; ++i)
-            nodes_[i].next = i + 1 < capacity ? i + 1 : kNullSlot;
-        freeHead_ = capacity > 0 ? 0 : kNullSlot;
+        const std::uint32_t n = capacity();
+        for (std::uint32_t i = 0; i < n; ++i)
+            nodes_[i].next = i + 1 < n ? i + 1 : kNullSlot;
+        freeHead_ = n > 0 ? 0 : kNullSlot;
+        freeCount_ = n;
     }
 
     std::uint32_t
@@ -86,8 +94,8 @@ class Slab
     };
 
     std::vector<Node> nodes_;
-    std::uint32_t freeHead_;
-    std::uint32_t freeCount_;
+    std::uint32_t freeHead_ = kNullSlot;
+    std::uint32_t freeCount_ = 0;
 };
 
 /** Head/tail/size of one list whose nodes live in a shared Slab. */

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -126,6 +129,10 @@ TEST(ZipfSampler, RejectsBadArguments)
 {
     EXPECT_THROW(ZipfSampler(0, 0.5), std::invalid_argument);
     EXPECT_THROW(ZipfSampler(10, -0.1), std::invalid_argument);
+    // The guide table indexes with 32 bits; refused before any table
+    // is allocated.
+    EXPECT_THROW(ZipfSampler(std::size_t{1} << 33, 0.5),
+                 std::invalid_argument);
 }
 
 TEST(ZipfSampler, PmfSumsToOne)
@@ -177,6 +184,95 @@ TEST(ZipfSampler, SampleFrequenciesFollowPmf)
                     0.01);
     }
 }
+
+/**
+ * The reference draw the guide table replaced: a binary search of the
+ * whole CDF for the first entry >= u. The CDF is read back through
+ * topMass(), which returns the sampler's own table entries.
+ */
+class ReferenceZipf
+{
+  public:
+    explicit ReferenceZipf(const ZipfSampler& z)
+    {
+        for (std::size_t i = 0; i < z.size(); ++i)
+            cdf.push_back(z.topMass(i + 1));
+    }
+
+    std::size_t
+    indexFor(double u) const
+    {
+        std::size_t lo = 0;
+        std::size_t hi = cdf.size() - 1;
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (cdf[mid] < u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+    std::vector<double> cdf;
+};
+
+/** Differential sweep: guide-table draw vs the full binary search. */
+class ZipfGuideEquiv
+    : public ::testing::TestWithParam<std::tuple<double, std::size_t>>
+{
+};
+
+TEST_P(ZipfGuideEquiv, EdgeValuesMatchBinarySearch)
+{
+    const auto [alpha, n] = GetParam();
+    const ZipfSampler z(n, alpha);
+    const ReferenceZipf ref(z);
+    // Every CDF value and its neighbours sit on or next to a guide
+    // bucket edge's rounding, the only place the bucket can be off.
+    std::vector<double> us = {0.0, std::nextafter(1.0, 0.0),
+                              std::nextafter(0.0, 1.0)};
+    for (const double c : ref.cdf) {
+        us.push_back(c);
+        us.push_back(std::nextafter(c, 0.0));
+        us.push_back(std::nextafter(c, 2.0));
+    }
+    for (std::size_t k = 0; k <= n; ++k) {
+        const double edge =
+            static_cast<double>(k) / static_cast<double>(n);
+        us.push_back(edge);
+        us.push_back(std::nextafter(edge, 0.0));
+        us.push_back(std::nextafter(edge, 2.0));
+    }
+    for (const double u : us) {
+        if (u < 0.0 || u >= 1.0)
+            continue;
+        ASSERT_EQ(z.indexFor(u), ref.indexFor(u))
+            << "u=" << u << " alpha=" << alpha << " n=" << n;
+    }
+}
+
+TEST_P(ZipfGuideEquiv, SeededDrawsMatchBinarySearch)
+{
+    const auto [alpha, n] = GetParam();
+    const ZipfSampler z(n, alpha);
+    const ReferenceZipf ref(z);
+    // One uniform() per draw: a twin generator feeding the reference
+    // stays in step only if sample() consumes exactly one.
+    Rng drawn(0x5eed + n), twin(0x5eed + n);
+    for (int i = 0; i < 1000000; ++i)
+        ASSERT_EQ(z.sample(drawn), ref.indexFor(twin.uniform()))
+            << "draw " << i << " alpha=" << alpha << " n=" << n;
+    EXPECT_EQ(drawn.next64(), twin.next64());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AlphasAndSizes, ZipfGuideEquiv,
+    ::testing::Combine(::testing::Values(0.0, 0.55, 0.75, 1.0),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3},
+                                         std::size_t{30000},
+                                         std::size_t{70000})));
 
 /** Property sweep: sampling is always in range for many alphas. */
 class ZipfAlphaSweep : public ::testing::TestWithParam<double>
