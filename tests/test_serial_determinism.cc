@@ -9,22 +9,28 @@
  * tests/golden/serial_determinism.txt.
  *
  * Each artifact is pinned by its FNV-1a 64-bit digest and its line
- * count; the "# runtime:" / "# trace:" comment lines are
- * stripped from dumps first. On a mismatch the artifact is written to
- * /tmp/dtsim_serial_det_<case>.<kind> for diffing against a build of
- * the last good commit, and the failure message carries the golden
- * line the current build produces.
+ * count; the "# runtime:" / "# trace:" comment lines are stripped from
+ * dumps first, and the header lines naming a side artifact's path
+ * ("#conf run.trace", "#conf stats.stream") from every artifact. Side
+ * artifacts go to a fresh directory per case under the system temp
+ * directory ($TMPDIR), so concurrent test runs never share a path. On
+ * a mismatch the artifact is written there as <case>.<kind> for
+ * diffing against a build of the last good commit, and the failure
+ * message carries the golden line the current build produces.
  */
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +52,61 @@ slurp(const std::string& path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/**
+ * A fresh directory for one case's side artifacts. Removed at the end
+ * of the case unless a mismatch left an artifact in it.
+ */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        std::string path = (std::filesystem::temp_directory_path() /
+                            "dtsim_serial_det.XXXXXX")
+                               .string();
+        if (!mkdtemp(path.data()))
+            throw std::runtime_error("mkdtemp failed: " + path);
+        path_ = path;
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove(path_, ec);  // Only if empty.
+    }
+
+    const std::string& path() const { return path_; }
+
+    std::string file(const std::string& name) const
+    {
+        return path_ + "/" + name;
+    }
+
+  private:
+    std::string path_;
+};
+
+/**
+ * `text` without the leading header lines that name a file in
+ * `scratch` ("#conf run.trace", "#conf stats.stream"); the rest,
+ * binary trace records included, is kept byte for byte.
+ */
+std::string
+dropScratchPaths(const std::string& text, const ScratchDir& scratch)
+{
+    std::string out;
+    std::size_t pos = 0;
+    while (pos < text.size() && text[pos] == '#') {
+        std::size_t end = text.find('\n', pos);
+        end = end == std::string::npos ? text.size() : end + 1;
+        const std::string line = text.substr(pos, end - pos);
+        if (line.find(scratch.path()) == std::string::npos)
+            out += line;
+        pos = end;
+    }
+    return out + text.substr(pos);
 }
 
 /** "<fnv1a-64 hex> <line count>" of an artifact. */
@@ -88,7 +149,7 @@ goldens()
 
 void
 expectGolden(const std::string& name, const std::string& kind,
-             const std::string& text)
+             const std::string& text, const ScratchDir& scratch)
 {
     const std::string key = name + " " + kind;
     const std::string got = fingerprint(text);
@@ -97,7 +158,7 @@ expectGolden(const std::string& name, const std::string& kind,
         it == goldens().end() ? "<missing>" : it->second;
     if (got == want)
         return;
-    const std::string path = "/tmp/dtsim_serial_det_" + name + "." + kind;
+    const std::string path = scratch.file(name + "." + kind);
     std::ofstream(path, std::ios::binary) << text;
     ADD_FAILURE() << key << " diverged from the golden fingerprint ("
                   << want << "); artifact written to " << path
@@ -296,8 +357,8 @@ TEST_P(SerialDeterminism, MatchesGolden)
     const DeterminismCase& c = GetParam();
     const SimulationConfig sim = c.config();
     Experiment built(sim);
-    const std::string side =
-        std::string("/tmp/dtsim_serial_det_run_") + c.name;
+    const ScratchDir scratch;
+    const std::string side = scratch.file("run");
 
     std::ostringstream os;
     Experiment e(sim.system);
@@ -313,21 +374,22 @@ TEST_P(SerialDeterminism, MatchesGolden)
         e.streamTo(side, 250 * kMsec);
     e.run();
 
-    const std::string dump = stripRuntime(os.str());
+    const std::string dump =
+        dropScratchPaths(stripRuntime(os.str()), scratch);
     ASSERT_NE(dump.find(c.mustContain), std::string::npos);
-    expectGolden(c.name, "dump", dump);
+    expectGolden(c.name, "dump", dump, scratch);
 
     if (c.extra != Extra::None) {
-        const std::string text = slurp(side);
+        const std::string text = dropScratchPaths(slurp(side), scratch);
+        std::remove(side.c_str());
         ASSERT_FALSE(text.empty());
         if (c.extra == Extra::Stream) {
             ASSERT_NE(text.find("==> dtsim stats seq=0 "),
                       std::string::npos);
         }
         expectGolden(c.name,
-                     c.extra == Extra::Trace ? "trace" : "stream",
-                     text);
-        std::remove(side.c_str());
+                     c.extra == Extra::Trace ? "trace" : "stream", text,
+                     scratch);
     }
 }
 
