@@ -46,27 +46,6 @@ Experiment::hdc(const HdcSpec& spec)
 }
 
 Experiment&
-Experiment::ra(const RaSpec& spec)
-{
-    cfg_.system.ra = spec;
-    return *this;
-}
-
-Experiment&
-Experiment::mirrored(bool on)
-{
-    cfg_.system.mirrored = on;
-    return *this;
-}
-
-Experiment&
-Experiment::faults(const FaultConfig& f)
-{
-    cfg_.system.fault = f;
-    return *this;
-}
-
-Experiment&
 Experiment::replay(const Trace& t)
 {
     extTrace_ = &t;

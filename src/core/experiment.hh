@@ -80,15 +80,6 @@ class Experiment
     /** Set the full typed HDC host-policy spec (hdc.*). */
     Experiment& hdc(const HdcSpec& spec);
 
-    /** Set the read-ahead depth-control spec (ra.*). */
-    Experiment& ra(const RaSpec& spec);
-
-    /** Enable/disable RAID-10 mirroring. */
-    Experiment& mirrored(bool on);
-
-    /** Attach a fault-injection scenario (fault/fault_config.hh). */
-    Experiment& faults(const FaultConfig& f);
-
     ///@}
     /** @name Inputs. */
     ///@{

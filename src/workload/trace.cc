@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -72,7 +73,10 @@ saveTrace(const Trace& trace, const std::string& path)
         std::fprintf(f, "%" PRIu64 " %u %u %u\n", r.start, r.count,
                      r.isWrite ? 1u : 0u, r.job);
     }
-    std::fclose(f);
+    const bool failed = std::ferror(f) != 0;
+    const bool close_failed = std::fclose(f) != 0;
+    if (failed || close_failed)
+        fatal("error writing trace file %s", path.c_str());
 }
 
 Trace
@@ -80,19 +84,28 @@ loadTrace(const std::string& path)
 {
     std::FILE* f = std::fopen(path.c_str(), "r");
     if (!f)
-        throw std::runtime_error("loadTrace: cannot open " + path);
+        throw std::runtime_error(path + ": cannot open trace file");
     Trace trace;
     char line[256];
-    while (std::fgets(line, sizeof(line), f)) {
+    for (unsigned lineno = 1; std::fgets(line, sizeof(line), f);
+         ++lineno) {
+        const auto bad = [&](const char* what) {
+            std::fclose(f);
+            throw std::runtime_error(path + ":" + std::to_string(lineno) +
+                                     ": " + what);
+        };
+        const std::size_t len = std::strlen(line);
+        if (len > 0 && line[len - 1] != '\n' && !std::feof(f))
+            bad("line too long");
         if (line[0] == '#' || line[0] == '\n')
             continue;
         TraceRecord r;
         unsigned w = 0;
-        if (std::sscanf(line, "%" SCNu64 " %u %u %u", &r.start,
-                        &r.count, &w, &r.job) != 4) {
-            std::fclose(f);
-            throw std::runtime_error("loadTrace: bad line in " + path);
-        }
+        int end = 0;
+        if (std::sscanf(line, "%" SCNu64 " %u %u %u %n", &r.start,
+                        &r.count, &w, &r.job, &end) != 4 ||
+            line[end] != '\0')
+            bad("bad trace record (want 'start count write job')");
         r.isWrite = w != 0;
         trace.push_back(r);
     }

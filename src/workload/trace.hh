@@ -58,10 +58,17 @@ TraceStats computeStats(const Trace& trace);
 std::vector<std::uint64_t> accessCountsSorted(const Trace& trace,
                                               std::size_t top = 0);
 
-/** Save a trace as a text file (one record per line). */
+/**
+ * Save a trace as a text file (one record per line); fatal() naming
+ * the path if the file cannot be opened or written.
+ */
 void saveTrace(const Trace& trace, const std::string& path);
 
-/** Load a trace saved by saveTrace(). Throws on parse errors. */
+/**
+ * Load a trace saved by saveTrace(). Throws std::runtime_error naming
+ * `path:line` on a malformed line (trailing junk included), or `path`
+ * if the file cannot be opened.
+ */
 Trace loadTrace(const std::string& path);
 
 } // namespace dtsim

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "workload/trace.hh"
 
@@ -62,12 +67,58 @@ TEST(AccessCounts, TopTruncation)
     EXPECT_EQ(counts.size(), 3u);
 }
 
+/**
+ * A fresh file under $TMPDIR for one test, removed when it goes out
+ * of scope, so concurrent test runs never share a path.
+ */
+class TempFile
+{
+  public:
+    TempFile()
+    {
+        path_ = (std::filesystem::temp_directory_path() /
+                 "dtsim_trace.XXXXXX")
+                    .string();
+        const int fd = mkstemp(path_.data());
+        if (fd < 0)
+            throw std::runtime_error("mkstemp failed: " + path_);
+        close(fd);
+    }
+
+    ~TempFile() { std::remove(path_.c_str()); }
+
+    const std::string& path() const { return path_; }
+
+    void write(const char* text) const
+    {
+        std::FILE* f = std::fopen(path_.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(text, f);
+        std::fclose(f);
+    }
+
+  private:
+    std::string path_;
+};
+
+/** The message loadTrace() throws for `path`, or "" if it loads. */
+std::string
+loadError(const std::string& path)
+{
+    try {
+        loadTrace(path);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(TracePersistence, SaveLoadRoundTrip)
 {
     const Trace t = sampleTrace();
-    const std::string path = "/tmp/dtsim_trace_test.txt";
-    saveTrace(t, path);
-    const Trace loaded = loadTrace(path);
+    const TempFile file;
+    saveTrace(t, file.path());
+    const Trace loaded = loadTrace(file.path());
     ASSERT_EQ(loaded.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
         EXPECT_EQ(loaded[i].start, t[i].start);
@@ -75,23 +126,54 @@ TEST(TracePersistence, SaveLoadRoundTrip)
         EXPECT_EQ(loaded[i].isWrite, t[i].isWrite);
         EXPECT_EQ(loaded[i].job, t[i].job);
     }
-    std::remove(path.c_str());
 }
 
 TEST(TracePersistence, LoadMissingFileThrows)
 {
     EXPECT_THROW(loadTrace("/nonexistent/nope.txt"),
                  std::runtime_error);
+    EXPECT_EQ(loadError("/nonexistent/nope.txt"),
+              "/nonexistent/nope.txt: cannot open trace file");
 }
 
 TEST(TracePersistence, LoadMalformedThrows)
 {
-    const std::string path = "/tmp/dtsim_trace_bad.txt";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("# header\nnot a record\n", f);
-    std::fclose(f);
-    EXPECT_THROW(loadTrace(path), std::runtime_error);
-    std::remove(path.c_str());
+    const TempFile file;
+    file.write("# header\nnot a record\n");
+    EXPECT_THROW(loadTrace(file.path()), std::runtime_error);
+}
+
+TEST(TracePersistence, LoadErrorNamesFileAndLine)
+{
+    const TempFile file;
+    file.write("# header\n1 2 0 0\n\n4 1 1 3\n5 1 x 0\n");
+    const std::string err = loadError(file.path());
+    EXPECT_EQ(err.rfind(file.path() + ":5: ", 0), 0u) << err;
+}
+
+TEST(TracePersistence, LoadRejectsTrailingJunk)
+{
+    const TempFile file;
+    file.write("1 2 0 0\n1 2 0 0 junk\n");
+    EXPECT_EQ(loadError(file.path()).rfind(file.path() + ":2: ", 0), 0u);
+
+    // Trailing blanks, a missing final newline and CRLF still load.
+    file.write("1 2 0 0  \n7 1 1 2");
+    const Trace t = loadTrace(file.path());
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[1].start, 7u);
+    EXPECT_TRUE(t[1].isWrite);
+    EXPECT_EQ(t[1].job, 2u);
+    file.write("1 2 0 0\r\n");
+    EXPECT_EQ(loadTrace(file.path()).size(), 1u);
+}
+
+TEST(TracePersistence, LoadRejectsOverlongLine)
+{
+    const TempFile file;
+    const std::string line = "1 2 0 0" + std::string(300, ' ') + "9\n";
+    file.write(("# header\n" + line).c_str());
+    EXPECT_EQ(loadError(file.path()).rfind(file.path() + ":2: ", 0), 0u);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -276,9 +277,10 @@ coordSuffix(const SweepPoint& p)
     std::string s;
     for (const auto& kv : p.coords) {
         const std::size_t dot = kv.first.rfind('.');
-        s += "." +
-             kv.first.substr(dot == std::string::npos ? 0 : dot + 1) +
-             "-" + fileToken(kv.second);
+        s += '.';
+        s += kv.first.substr(dot == std::string::npos ? 0 : dot + 1);
+        s += '-';
+        s += fileToken(kv.second);
     }
     for (const ParamValue& v : paramValues(p.cfg)) {
         const std::string group = v.name.substr(0, v.name.find('.'));
@@ -288,9 +290,12 @@ coordSuffix(const SweepPoint& p)
         bool is_axis = false;
         for (const auto& kv : p.coords)
             is_axis = is_axis || kv.first == v.name;
-        if (!is_axis)
-            s += "." + v.name.substr(group.size() + 1) + "-" +
-                 fileToken(v.value);
+        if (!is_axis) {
+            s += '.';
+            s += v.name.substr(group.size() + 1);
+            s += '-';
+            s += fileToken(v.value);
+        }
     }
     return s;
 }
@@ -505,7 +510,12 @@ main(int argc, char** argv)
         if (sim.system.kind == SystemKind::FOR)
             fatal("FOR needs a file-system image; loaded traces "
                   "carry none (use --workload instead)");
-        const Trace trace = loadTrace(load_trace);
+        Trace trace;
+        try {
+            trace = loadTrace(load_trace);
+        } catch (const std::runtime_error& e) {
+            fatal("--load-trace: %s", e.what());
+        }
         std::printf("loaded %zu records from %s\n", trace.size(),
                     load_trace.c_str());
 
