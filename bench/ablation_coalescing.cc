@@ -6,7 +6,6 @@
  * claim.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -19,60 +18,22 @@ main()
     bench::printHeader(
         "Ablation: coalescing probability (16 KB files)");
 
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<double>(
+        "synthetic.coalesce_prob", {0.0, 0.25, 0.5, 0.75, 0.87, 1.0}));
+    spec.axes.push_back({"system.kind", {"segm", "nora", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{12, 10, 10, 10};
     bench::printRow({"coalesce", "Segm(s)", "No-RA", "FOR"}, widths);
-
-    // Each probability needs its own workload and bitmaps; build them
-    // all first so every run goes into one parallel batch.
-    const double probs[] = {0.0, 0.25, 0.5, 0.75, 0.87, 1.0};
-    const std::size_t n = std::size(probs);
-    std::vector<SyntheticWorkload> workloads;
-    std::vector<std::vector<LayoutBitmap>> bitmaps(n);
-    workloads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SyntheticParams sp;
-        sp.fileSizeBytes = 16 * kKiB;
-        sp.numRequests = 10000;
-        sp.coalesceProb = probs[i];
-        workloads.push_back(makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks()));
-
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        bitmaps[i] = workloads[i].image->buildBitmaps(striping);
-    }
-
-    std::vector<bench::SystemSpec> specs;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (SystemKind sys : {SystemKind::Segm, SystemKind::NoRA,
-                               SystemKind::FOR}) {
-            bench::SystemSpec spec;
-            spec.kind = sys;
-            spec.base = base;
-            spec.trace = &workloads[i].trace;
-            spec.bitmaps = &bitmaps[i];
-            specs.push_back(std::move(spec));
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const RunResult& segm = results[i * 3];
-        const RunResult& nora = results[i * 3 + 1];
-        const RunResult& forr = results[i * 3 + 2];
-        const double t0 = static_cast<double>(segm.ioTime);
-        bench::printRow({bench::fmt(probs[i], 2),
-                         bench::fmt(toSeconds(segm.ioTime)),
-                         bench::fmt(nora.ioTime / t0),
-                         bench::fmt(forr.ioTime / t0)},
-                        widths);
+    for (std::size_t i = 0; i + 2 < g.results.size(); i += 3) {
+        const double t0 = static_cast<double>(g.results[i].ioTime);
+        bench::printRow(
+            {bench::fmt(g.points[i].cfg.synthetic.coalesceProb, 2),
+             bench::fmt(toSeconds(g.results[i].ioTime)),
+             bench::fmt(g.results[i + 1].ioTime / t0),
+             bench::fmt(g.results[i + 2].ioTime / t0)},
+            widths);
     }
     return 0;
 }

@@ -10,6 +10,7 @@
  * read a whole directory, the rest one file.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -24,67 +25,28 @@ main()
         "Ablation: explicit grouping vs FOR (8 KB files, 8-file "
         "directories)");
 
+    SweepSpec spec = bench::syntheticSpec();
+    spec.base.synthetic.fileSizeBytes = 8 * kKiB;
+    spec.base.synthetic.numRequests = 6000;
+    spec.base.synthetic.dirFiles = 8;
+    spec.axes.push_back(
+        bench::axis<double>("synthetic.dir_access_prob", {0.0, 0.6}));
+    spec.axes.push_back(
+        bench::axis<bool>("synthetic.grouped_layout", {false, true}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
+
     const std::vector<int> widths{24, 12, 12, 12};
     bench::printRow({"layout", "dir-reads", "Segm(s)", "FOR(s)"},
                     widths);
-
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
-
-    // One workload per (dir_prob, layout) case, shared by the Segm
-    // and FOR runs of that case; all eight runs go into one batch.
-    const double probs[] = {0.0, 0.6};
-    const bool layouts[] = {false, true};
-    std::vector<SyntheticWorkload> workloads;
-    std::vector<std::vector<LayoutBitmap>> bitmaps(4);
-    std::vector<bench::SystemSpec> specs;
-    workloads.reserve(4);
-    for (const double p : probs) {
-        for (const bool grouped : layouts) {
-            SyntheticParams sp;
-            sp.numFiles = 200000;
-            sp.fileSizeBytes = 8 * kKiB;
-            sp.numRequests = 6000;
-            sp.dirFiles = 8;
-            sp.dirAccessProb = p;
-            sp.groupedLayout = grouped;
-
-            workloads.push_back(makeSynthetic(
-                sp, base.disks * base.disk.totalBlocks()));
-            StripingMap striping(
-                base.disks,
-                base.stripeUnitBytes / base.disk.blockSize,
-                base.disk.totalBlocks());
-            const std::size_t i = workloads.size() - 1;
-            bitmaps[i] = workloads[i].image->buildBitmaps(striping);
-
-            for (SystemKind sys :
-                 {SystemKind::Segm, SystemKind::FOR}) {
-                bench::SystemSpec spec;
-                spec.kind = sys;
-                spec.base = base;
-                spec.trace = &workloads[i].trace;
-                spec.bitmaps = &bitmaps[i];
-                specs.push_back(std::move(spec));
-            }
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    std::size_t idx = 0;
-    for (const double p : probs) {
-        for (const bool grouped : layouts) {
-            const RunResult& segm = results[idx++];
-            const RunResult& forr = results[idx++];
-            bench::printRow({grouped ? "grouped (explicit)"
-                                     : "scattered",
-                             bench::fmtPct(p, 0),
-                             bench::fmt(toSeconds(segm.ioTime)),
-                             bench::fmt(toSeconds(forr.ioTime))},
-                            widths);
-        }
+    for (std::size_t i = 0; i + 1 < g.results.size(); i += 2) {
+        const SyntheticParams& sp = g.points[i].cfg.synthetic;
+        bench::printRow(
+            {sp.groupedLayout ? "grouped (explicit)" : "scattered",
+             bench::fmtPct(sp.dirAccessProb, 0),
+             bench::fmt(toSeconds(g.results[i].ioTime)),
+             bench::fmt(toSeconds(g.results[i + 1].ioTime))},
+            widths);
     }
     std::printf("\nexpect: grouping rescues blind read-ahead only "
                 "when directory reads dominate\nand the grouping "

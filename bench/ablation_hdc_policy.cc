@@ -7,10 +7,12 @@
  * on the Web server workload.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "workload/server_models.hh"
 
 using namespace dtsim;
 
@@ -20,55 +22,38 @@ main()
     bench::printHeader(
         "Ablation: HDC host policy (Web server, unit 16 KB)");
 
-    ServerModelParams params =
-        webServerParams(bench::workloadScale());
-
-    SystemConfig base;
-    base.streams = params.streams;
-    base.stripeUnitBytes = 16 * kKiB;
-
-    ServerWorkload w = makeServerWorkload(
-        params, base.disks * base.disk.totalBlocks());
-    StripingMap striping(base.disks,
-                         base.stripeUnitBytes / base.disk.blockSize,
-                         base.disk.totalBlocks());
-    const std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+    // Rows: no HDC and top-miss pinning (the oracle policy), then the
+    // victim cache, whose ghost list mirrors the host buffer cache.
+    SweepSpec pinning;
+    pinning.base.workload = WorkloadKind::Web;
+    pinning.base.scale = bench::workloadScale();
+    pinning.base.system.stripeUnitBytes = 16 * kKiB;
+    SweepSpec victim = pinning;
+    pinning.axes.push_back(bench::axis<std::uint64_t>(
+        "hdc.budget_bytes_per_disk", {0, 2 * kMiB}));
+    HdcSpec& hdc = victim.base.system.hdc;
+    hdc.policy = HdcPolicy::Victim;
+    hdc.budgetBytesPerDisk = 2 * kMiB;
+    hdc.victimGhostBlocks =
+        webServerParams(victim.base.scale).bufferCacheBlocks;
+    const bench::Grid g = bench::runGrid({pinning, victim});
 
     const std::vector<int> widths{26, 12, 12, 12};
     bench::printRow({"policy", "time(s)", "hdc-hit", "pins"},
                     widths);
 
-    const std::uint64_t hdc = 2 * kMiB;
-
-    // All three policies run as one parallel batch.
-    std::vector<bench::SystemSpec> specs(3);
-    specs[0].base = base;
-    specs[1].base = base;
-    specs[1].hdcBytes = hdc;
-    specs[2].base = base;
-    specs[2].base.hdc.policy = HdcPolicy::Victim;
-    specs[2].base.hdc.victimGhostBlocks = params.bufferCacheBlocks;
-    specs[2].hdcBytes = hdc;
-    for (bench::SystemSpec& spec : specs) {
-        spec.kind = SystemKind::Segm;
-        spec.trace = &w.trace;
-        spec.bitmaps = &bitmaps;
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    const RunResult& none = results[0];
+    const RunResult& none = g.results[0];
     bench::printRow({"no HDC", bench::fmt(toSeconds(none.ioTime)),
                      "-", "-"},
                     widths);
 
-    const RunResult& top = results[1];
+    const RunResult& top = g.results[1];
     bench::printRow({"top-miss pinning (paper)",
                      bench::fmt(toSeconds(top.ioTime)),
                      bench::fmtPct(top.hdcHitRate), "-"},
                     widths);
 
-    const RunResult& vic = results[2];
+    const RunResult& vic = g.results[2];
     bench::printRow({"victim cache",
                      bench::fmt(toSeconds(vic.ioTime)),
                      bench::fmtPct(vic.hdcHitRate),

@@ -7,7 +7,6 @@
  * under mirroring.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -20,69 +19,25 @@ main()
     bench::printHeader(
         "Ablation: RAID-0 vs RAID-10 (8 physical disks)");
 
+    SweepSpec spec = bench::syntheticSpec();
+    spec.base.synthetic.numRequests = 8000;
+    spec.axes.push_back(
+        bench::axis<double>("synthetic.write_prob", {0.0, 0.3}));
+    spec.axes.push_back(
+        bench::axis<bool>("system.mirrored", {false, true}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
+
     const std::vector<int> widths{12, 12, 12, 12};
     bench::printRow({"writes", "layout", "Segm(s)", "FOR(s)"},
                     widths);
-
-    // One workload per (write_prob, layout) case, shared by the Segm
-    // and FOR runs of that case; all eight runs go into one batch.
-    const double write_probs[] = {0.0, 0.3};
-    const bool layouts[] = {false, true};
-    std::vector<SyntheticWorkload> workloads;
-    std::vector<std::vector<LayoutBitmap>> bitmaps(4);
-    std::vector<bench::SystemSpec> specs;
-    workloads.reserve(4);
-    for (const double wp : write_probs) {
-        for (const bool mirrored : layouts) {
-            SystemConfig base;
-            base.streams = 128;
-            base.workers = 64;
-            base.stripeUnitBytes = 128 * kKiB;
-            base.mirrored = mirrored;
-
-            SyntheticParams sp;
-            sp.numFiles = 200000;
-            sp.fileSizeBytes = 16 * kKiB;
-            sp.numRequests = 8000;
-            sp.writeProb = wp;
-
-            const unsigned logical_disks =
-                mirrored ? base.disks / 2 : base.disks;
-            const std::uint64_t capacity =
-                logical_disks * base.disk.totalBlocks();
-
-            workloads.push_back(makeSynthetic(sp, capacity));
-            StripingMap striping(
-                logical_disks,
-                base.stripeUnitBytes / base.disk.blockSize,
-                base.disk.totalBlocks());
-            const std::size_t i = workloads.size() - 1;
-            bitmaps[i] = workloads[i].image->buildBitmaps(striping);
-
-            for (SystemKind sys :
-                 {SystemKind::Segm, SystemKind::FOR}) {
-                bench::SystemSpec spec;
-                spec.kind = sys;
-                spec.base = base;
-                spec.trace = &workloads[i].trace;
-                spec.bitmaps = &bitmaps[i];
-                specs.push_back(std::move(spec));
-            }
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    std::size_t idx = 0;
-    for (const double wp : write_probs) {
-        for (const bool mirrored : layouts) {
-            const RunResult& segm = results[idx++];
-            const RunResult& forr = results[idx++];
-            bench::printRow({bench::fmtPct(wp, 0),
-                             mirrored ? "RAID-10" : "RAID-0",
-                             bench::fmt(toSeconds(segm.ioTime)),
-                             bench::fmt(toSeconds(forr.ioTime))},
-                            widths);
-        }
+    for (std::size_t i = 0; i + 1 < g.results.size(); i += 2) {
+        const SimulationConfig& cfg = g.points[i].cfg;
+        bench::printRow({bench::fmtPct(cfg.synthetic.writeProb, 0),
+                         cfg.system.mirrored ? "RAID-10" : "RAID-0",
+                         bench::fmt(toSeconds(g.results[i].ioTime)),
+                         bench::fmt(toSeconds(g.results[i + 1].ioTime))},
+                        widths);
     }
     return 0;
 }

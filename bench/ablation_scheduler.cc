@@ -5,7 +5,6 @@
  * the FOR gains are orthogonal to the scheduling policy.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -17,49 +16,21 @@ main()
 {
     bench::printHeader("Ablation: media request scheduler");
 
-    SyntheticParams sp;
-    sp.fileSizeBytes = 16 * kKiB;
-    sp.numRequests = 10000;
-
-    SystemConfig base;
-    base.streams = 256;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
-
-    SyntheticWorkload w =
-        makeSynthetic(sp, base.disks * base.disk.totalBlocks());
-    StripingMap striping(base.disks,
-                         base.stripeUnitBytes / base.disk.blockSize,
-                         base.disk.totalBlocks());
-    const std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+    SweepSpec spec = bench::syntheticSpec();
+    spec.base.system.streams = 256;
+    spec.axes.push_back(
+        {"system.scheduler", {"fcfs", "look", "clook", "sstf"}});
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{12, 12, 12, 12};
     bench::printRow({"scheduler", "Segm(s)", "FOR(s)", "FOR gain"},
                     widths);
-
-    const SchedulerKind kinds[] = {SchedulerKind::FCFS,
-                                   SchedulerKind::LOOK,
-                                   SchedulerKind::CLOOK,
-                                   SchedulerKind::SSTF};
-    std::vector<bench::SystemSpec> specs;
-    for (SchedulerKind k : kinds) {
-        for (SystemKind sys : {SystemKind::Segm, SystemKind::FOR}) {
-            bench::SystemSpec spec;
-            spec.kind = sys;
-            spec.base = base;
-            spec.base.scheduler = k;
-            spec.trace = &w.trace;
-            spec.bitmaps = &bitmaps;
-            specs.push_back(std::move(spec));
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-    for (std::size_t i = 0; i < std::size(kinds); ++i) {
-        const RunResult& segm = results[i * 2];
-        const RunResult& forr = results[i * 2 + 1];
+    for (std::size_t i = 0; i + 1 < g.results.size(); i += 2) {
+        const RunResult& segm = g.results[i];
+        const RunResult& forr = g.results[i + 1];
         bench::printRow(
-            {schedulerKindName(kinds[i]),
+            {schedulerKindName(g.points[i].cfg.system.scheduler),
              bench::fmt(toSeconds(segm.ioTime)),
              bench::fmt(toSeconds(forr.ioTime)),
              bench::fmtPct(1.0 - static_cast<double>(forr.ioTime) /

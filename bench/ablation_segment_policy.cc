@@ -19,71 +19,38 @@ main()
     bench::printHeader(
         "Ablation: segment replacement policy (Segm, synthetic)");
 
-    SyntheticParams sp;
-    sp.fileSizeBytes = 16 * kKiB;
-    sp.numRequests = 10000;
-
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
-
-    SyntheticWorkload w =
-        makeSynthetic(sp, base.disks * base.disk.totalBlocks());
-    StripingMap striping(base.disks,
-                         base.stripeUnitBytes / base.disk.blockSize,
-                         base.disk.totalBlocks());
-    const std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+    // Two halves in one pool: Segm's segment policies, then the FOR
+    // block pool's MRU vs LRU.
+    SweepSpec segm = bench::syntheticSpec();
+    SweepSpec block = segm;
+    segm.axes.push_back(
+        {"system.segment_policy", {"lru", "fifo", "random", "rr"}});
+    block.base.system.kind = SystemKind::FOR;
+    block.axes.push_back({"system.block_policy", {"mru", "lru"}});
+    const bench::Grid g = bench::runGrid({segm, block});
+    const std::size_t num_segm = segm.points();
 
     const std::vector<int> widths{14, 12, 12};
     bench::printRow({"policy", "time(s)", "hit-rate"}, widths);
-
-    const SegmentPolicy policies[] = {
-        SegmentPolicy::LRU, SegmentPolicy::FIFO, SegmentPolicy::Random,
-        SegmentPolicy::RoundRobin};
-    const BlockPolicy block_policies[] = {BlockPolicy::MRU,
-                                          BlockPolicy::LRU};
-
-    // One parallel batch covering both sections of the table.
-    std::vector<bench::SystemSpec> specs;
-    for (SegmentPolicy p : policies) {
-        bench::SystemSpec spec;
-        spec.kind = SystemKind::Segm;
-        spec.base = base;
-        spec.base.segmentPolicy = p;
-        spec.trace = &w.trace;
-        spec.bitmaps = &bitmaps;
-        specs.push_back(std::move(spec));
-    }
-    for (BlockPolicy p : block_policies) {
-        bench::SystemSpec spec;
-        spec.kind = SystemKind::FOR;
-        spec.base = base;
-        spec.base.blockPolicy = p;
-        spec.trace = &w.trace;
-        spec.bitmaps = &bitmaps;
-        specs.push_back(std::move(spec));
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    for (std::size_t i = 0; i < std::size(policies); ++i) {
-        const RunResult& r = results[i];
-        bench::printRow({segmentPolicyName(policies[i]),
-                         bench::fmt(toSeconds(r.ioTime)),
-                         bench::fmtPct(r.cacheHitRate)},
-                        widths);
+    for (std::size_t i = 0; i < num_segm; ++i) {
+        const RunResult& r = g.results[i];
+        bench::printRow(
+            {segmentPolicyName(g.points[i].cfg.system.segmentPolicy),
+             bench::fmt(toSeconds(r.ioTime)),
+             bench::fmtPct(r.cacheHitRate)},
+            widths);
     }
 
     // The block-based pool's MRU vs LRU, for comparison (Section 4
     // argues MRU fits the no-temporal-locality controller cache).
     std::printf("\nblock-pool policy (FOR):\n");
-    for (std::size_t i = 0; i < std::size(block_policies); ++i) {
-        const RunResult& r = results[std::size(policies) + i];
-        bench::printRow({blockPolicyName(block_policies[i]),
-                         bench::fmt(toSeconds(r.ioTime)),
-                         bench::fmtPct(r.cacheHitRate)},
-                        widths);
+    for (std::size_t i = num_segm; i < g.results.size(); ++i) {
+        const RunResult& r = g.results[i];
+        bench::printRow(
+            {blockPolicyName(g.points[i].cfg.system.blockPolicy),
+             bench::fmt(toSeconds(r.ioTime)),
+             bench::fmtPct(r.cacheHitRate)},
+            widths);
     }
     return 0;
 }

@@ -5,7 +5,7 @@
  * synthetic workload.
  */
 
-#include <cstdio>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -18,56 +18,23 @@ main()
     bench::printHeader(
         "Ablation: segment size / read-ahead size (16 KB files)");
 
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<std::uint64_t>(
+        "disk.segment_bytes", {128 * kKiB, 256 * kKiB, 512 * kKiB}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
+
     const std::vector<int> widths{12, 12, 10, 10, 10};
     bench::printRow({"seg(KB)", "segments", "Segm(s)", "FOR(s)",
                      "gain"},
                     widths);
-
-    const std::uint64_t seg_kbs[] = {128, 256, 512};
-    const std::size_t n = std::size(seg_kbs);
-    std::vector<SystemConfig> bases(n);
-    std::vector<SyntheticWorkload> workloads;
-    std::vector<std::vector<LayoutBitmap>> bitmaps(n);
-    workloads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SystemConfig& base = bases[i];
-        base.streams = 128;
-        base.workers = 64;
-        base.stripeUnitBytes = 128 * kKiB;
-        base.disk.segmentBytes = seg_kbs[i] * kKiB;
-
-        SyntheticParams sp;
-        sp.fileSizeBytes = 16 * kKiB;
-        sp.numRequests = 10000;
-        workloads.push_back(makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks()));
-
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        bitmaps[i] = workloads[i].image->buildBitmaps(striping);
-    }
-
-    std::vector<bench::SystemSpec> specs;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (SystemKind sys : {SystemKind::Segm, SystemKind::FOR}) {
-            bench::SystemSpec spec;
-            spec.kind = sys;
-            spec.base = bases[i];
-            spec.trace = &workloads[i].trace;
-            spec.bitmaps = &bitmaps[i];
-            specs.push_back(std::move(spec));
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const RunResult& segm = results[i * 2];
-        const RunResult& forr = results[i * 2 + 1];
+    for (std::size_t i = 0; i + 1 < g.results.size(); i += 2) {
+        const DiskParams& disk = g.points[i].cfg.system.disk;
+        const RunResult& segm = g.results[i];
+        const RunResult& forr = g.results[i + 1];
         bench::printRow(
-            {std::to_string(seg_kbs[i]),
-             std::to_string(bases[i].disk.numSegments()),
+            {std::to_string(disk.segmentBytes / kKiB),
+             std::to_string(disk.numSegments()),
              bench::fmt(toSeconds(segm.ioTime)),
              bench::fmt(toSeconds(forr.ioTime)),
              bench::fmtPct(1.0 - static_cast<double>(forr.ioTime) /

@@ -6,7 +6,6 @@
  * that simplification.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -18,54 +17,20 @@ main()
 {
     bench::printHeader("Ablation: flat vs zoned recording");
 
-    SyntheticParams sp;
-    sp.fileSizeBytes = 16 * kKiB;
-    sp.numRequests = 10000;
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(
+        bench::axis<unsigned>("disk.recording_zones", {0, 4, 8, 16}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{10, 10, 10, 10};
     bench::printRow({"zones", "Segm(s)", "FOR(s)", "gain"}, widths);
-
-    const unsigned zone_counts[] = {0u, 4u, 8u, 16u};
-    const std::size_t n = std::size(zone_counts);
-    std::vector<SystemConfig> bases(n);
-    std::vector<SyntheticWorkload> workloads;
-    std::vector<std::vector<LayoutBitmap>> bitmaps(n);
-    workloads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SystemConfig& base = bases[i];
-        base.streams = 128;
-        base.workers = 64;
-        base.stripeUnitBytes = 128 * kKiB;
-        base.disk.recordingZones = zone_counts[i];
-
-        workloads.push_back(makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks()));
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        bitmaps[i] = workloads[i].image->buildBitmaps(striping);
-    }
-
-    std::vector<bench::SystemSpec> specs;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (SystemKind sys : {SystemKind::Segm, SystemKind::FOR}) {
-            bench::SystemSpec spec;
-            spec.kind = sys;
-            spec.base = bases[i];
-            spec.trace = &workloads[i].trace;
-            spec.bitmaps = &bitmaps[i];
-            specs.push_back(std::move(spec));
-        }
-    }
-    const std::vector<RunResult> results = bench::runSystems(specs);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const RunResult& segm = results[i * 2];
-        const RunResult& forr = results[i * 2 + 1];
+    for (std::size_t i = 0; i + 1 < g.results.size(); i += 2) {
+        const unsigned zones = g.points[i].cfg.system.disk.recordingZones;
+        const RunResult& segm = g.results[i];
+        const RunResult& forr = g.results[i + 1];
         bench::printRow(
-            {zone_counts[i] == 0 ? "flat"
-                                 : std::to_string(zone_counts[i]),
+            {zones == 0 ? "flat" : std::to_string(zones),
              bench::fmt(toSeconds(segm.ioTime)),
              bench::fmt(toSeconds(forr.ioTime)),
              bench::fmtPct(1.0 - static_cast<double>(forr.ioTime) /

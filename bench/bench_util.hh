@@ -1,30 +1,29 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction benches: standard
- * workload scales, aligned table printing, and the Segm baseline
- * normalization the paper uses.
+ * workload scales, aligned table printing, and the grid runner.
  *
- * The figure sweeps (stripingSweep / hdcSweep) are data-driven: they
- * build a config-layer SweepSpec (the same grids ship as .conf files
- * under examples/sweeps/ for dtsim_cli --sweep) and execute it through
- * the core sweep driver, so a figure bench and the equivalent config
- * file produce identical numbers.
+ * Every bench that replays a workload is a sweep: it describes its
+ * table as SweepSpec grids over registered parameters (the
+ * fig07-fig12 grids are the .conf files under examples/sweeps/ that
+ * dtsim_cli --sweep runs too) and runs them through runSweepPoints(),
+ * so every point is validated by validateConfig(), built by
+ * buildWorkload(), shares workloads, bitmaps and pin plans through
+ * one SweepCache, and runs on the DTSIM_JOBS pool.
  */
 
 #ifndef DTSIM_BENCH_BENCH_UTIL_HH
 #define DTSIM_BENCH_BENCH_UTIL_HH
 
-#include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "config/parse.hh"
 #include "config/sweep_spec.hh"
 #include "core/runner.hh"
-#include "core/sweep.hh"
 #include "core/sweep_driver.hh"
-#include "hdc/hdc_planner.hh"
-#include "workload/server_models.hh"
-#include "workload/synthetic.hh"
 
 namespace dtsim {
 namespace bench {
@@ -48,72 +47,57 @@ void printRow(const std::vector<std::string>& cells,
 std::string fmt(double v, int precision = 3);
 std::string fmtPct(double v, int precision = 1);
 
-/**
- * Run one system variant over a trace, wiring bitmaps and the HDC pin
- * plan automatically.
- */
-RunResult runSystem(SystemKind kind, std::uint64_t hdc_bytes,
-                    const SystemConfig& base, const Trace& trace,
-                    const std::vector<LayoutBitmap>& bitmaps);
-
-/**
- * One system variant in a runSystems() batch: `base` with `kind` and
- * `hdcBytes` applied on top, run over `trace`/`bitmaps` (both must
- * outlive the call).
- */
-struct SystemSpec
+/** A sweep axis over typed values, in canonical text form. */
+template <typename T>
+SweepAxis
+axis(std::string key, std::initializer_list<T> values)
 {
-    SystemKind kind = SystemKind::Segm;
-    std::uint64_t hdcBytes = 0;
-    SystemConfig base;
-    const Trace* trace = nullptr;
-    const std::vector<LayoutBitmap>* bitmaps = nullptr;
+    SweepAxis a{std::move(key), {}};
+    for (const T& v : values)
+        a.values.push_back(config::formatValue(v));
+    return a;
+}
 
-    /**
-     * Observability options forwarded to the run (off by default).
-     * Give each spec its own output paths; see core/sweep.hh for the
-     * thread-safety expectations.
-     */
-    RunOptions opts;
+/**
+ * The Section 6.2 synthetic setup the synthetic benches start from:
+ * 128 streams, 64 workers, a 128 KB striping unit, and the default
+ * 10000 requests for 16 KB files.
+ */
+SweepSpec syntheticSpec();
+
+/** The expanded points of a bench table and their results. */
+struct Grid
+{
+    std::vector<SweepPoint> points;
+    std::vector<RunResult> results;
+
+    /** The workloads, bitmaps and pin plans the points shared. */
+    SweepCache cache;
 };
 
 /**
- * Run a batch of system variants as replay Experiments
- * (core/experiment.hh) through the parallel sweep runner, deriving
- * the Pinned-policy HDC pin plan per spec like runSystem(). Results
- * come back in spec order and are bit-identical to calling
- * runSystem() sequentially; thread count follows DTSIM_JOBS.
+ * Expand each spec (fatal on a bad axis), concatenate the points in
+ * spec order, and run them all through runSweepPoints() with one
+ * SweepCache. Tables that are not one cartesian grid pass several
+ * specs.
  */
-std::vector<RunResult> runSystems(const std::vector<SystemSpec>& specs);
+Grid runGrid(const std::vector<SweepSpec>& specs);
 
 /**
- * The Figure 7/9/11 grid for one server workload: striping unit
- * {4..256} KB x {Segm, FOR} x HDC {0, 2 MiB}. examples/sweeps/
- * ships the same grids as .conf files.
+ * The Figure 7/9/11 table: the striping-unit grid of
+ * examples/sweeps/`conf` (I/O time vs unit size for Segm, Segm+HDC,
+ * FOR, FOR+HDC) at workloadScale().
  */
-SweepSpec stripingSweepSpec(WorkloadKind workload, double scale);
-
-/** The Figure 8/10/12 grid: HDC size {0..3072} KB x {Segm, FOR}. */
-SweepSpec hdcSweepSpec(WorkloadKind workload, double scale,
-                       std::uint64_t stripe_unit_bytes);
-
-/**
- * A striping-unit sweep over one server workload: reproduces the
- * Figure 7/9/11 shape (I/O time vs unit size for Segm, Segm+HDC,
- * FOR, FOR+HDC).
- */
-void stripingSweep(WorkloadKind workload, double scale,
+void stripingSweep(const std::string& conf,
                    const std::string& figure_title);
 
 /**
- * An HDC-size sweep over one server workload at a fixed striping
- * unit: reproduces the Figure 8/10/12 shape. FOR points whose HDC +
+ * The Figure 8/10/12 table: the HDC-size grid of
+ * examples/sweeps/`conf` at workloadScale(). FOR points whose HDC +
  * bitmap budget exceeds the controller cache come back infeasible and
  * print "-" (the paper's FOR+HDC curves stop early too).
  */
-void hdcSweep(WorkloadKind workload, double scale,
-              std::uint64_t stripe_unit_bytes,
-              const std::string& figure_title);
+void hdcSweep(const std::string& conf, const std::string& figure_title);
 
 } // namespace bench
 } // namespace dtsim

@@ -5,7 +5,7 @@
  * 128 KB striping unit; 10000 complete-file requests).
  */
 
-#include <cstdio>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -18,48 +18,27 @@ main()
     bench::printHeader(
         "Figure 3: normalized I/O time vs average file size");
 
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<std::uint64_t>(
+        "synthetic.file_bytes", {4 * kKiB, 8 * kKiB, 16 * kKiB,
+                                 24 * kKiB, 32 * kKiB, 48 * kKiB,
+                                 64 * kKiB, 96 * kKiB, 128 * kKiB}));
+    spec.axes.push_back({"system.kind", {"segm", "block", "nora", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{12, 10, 10, 10, 10, 12};
     bench::printRow({"file(KB)", "Segm", "Block", "No-RA", "FOR",
                      "Segm(s)"},
                     widths);
-
-    const std::uint64_t sizes_kb[] = {4,  8,  16, 24, 32, 48,
-                                      64, 96, 128};
-    for (std::uint64_t kb : sizes_kb) {
-        SyntheticParams sp;
-        sp.fileSizeBytes = kb * kKiB;
-        sp.numRequests = 10000;
-        SyntheticWorkload w = makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks());
-
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        const std::vector<LayoutBitmap> bitmaps =
-            w.image->buildBitmaps(striping);
-
-        const RunResult segm = bench::runSystem(
-            SystemKind::Segm, 0, base, w.trace, bitmaps);
-        const RunResult block = bench::runSystem(
-            SystemKind::Block, 0, base, w.trace, bitmaps);
-        const RunResult nora = bench::runSystem(
-            SystemKind::NoRA, 0, base, w.trace, bitmaps);
-        const RunResult forr = bench::runSystem(
-            SystemKind::FOR, 0, base, w.trace, bitmaps);
-
-        const double t0 = static_cast<double>(segm.ioTime);
+    for (std::size_t i = 0; i + 3 < g.results.size(); i += 4) {
+        const double t0 = static_cast<double>(g.results[i].ioTime);
         bench::printRow(
-            {std::to_string(kb), "1.000",
-             bench::fmt(block.ioTime / t0),
-             bench::fmt(nora.ioTime / t0),
-             bench::fmt(forr.ioTime / t0),
-             bench::fmt(toSeconds(segm.ioTime))},
+            {std::to_string(g.points[i].cfg.synthetic.fileSizeBytes /
+                            kKiB),
+             "1.000", bench::fmt(g.results[i + 1].ioTime / t0),
+             bench::fmt(g.results[i + 2].ioTime / t0),
+             bench::fmt(g.results[i + 3].ioTime / t0),
+             bench::fmt(toSeconds(g.results[i].ioTime))},
             widths);
     }
     return 0;

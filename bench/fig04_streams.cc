@@ -4,7 +4,6 @@
  * simultaneous I/O streams (Segm / Block / FOR; 16 KB files).
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -17,42 +16,22 @@ main()
     bench::printHeader(
         "Figure 4: normalized I/O time vs simultaneous streams");
 
-    SyntheticParams sp;
-    sp.fileSizeBytes = 16 * kKiB;
-    sp.numRequests = 10000;
-
-    SystemConfig base;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
-
-    SyntheticWorkload w =
-        makeSynthetic(sp, base.disks * base.disk.totalBlocks());
-    StripingMap striping(base.disks,
-                         base.stripeUnitBytes / base.disk.blockSize,
-                         base.disk.totalBlocks());
-    const std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<unsigned>(
+        "system.streams", {64, 128, 256, 384, 512, 768, 1024}));
+    spec.axes.push_back({"system.kind", {"segm", "block", "for"}});
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{10, 10, 10, 10, 12};
     bench::printRow({"streams", "Segm", "Block", "FOR", "Segm(s)"},
                     widths);
-
-    const unsigned streams[] = {64, 128, 256, 384, 512, 768, 1024};
-    for (unsigned s : streams) {
-        SystemConfig cfg = base;
-        cfg.streams = s;
-        const RunResult segm = bench::runSystem(
-            SystemKind::Segm, 0, cfg, w.trace, bitmaps);
-        const RunResult block = bench::runSystem(
-            SystemKind::Block, 0, cfg, w.trace, bitmaps);
-        const RunResult forr = bench::runSystem(
-            SystemKind::FOR, 0, cfg, w.trace, bitmaps);
-
-        const double t0 = static_cast<double>(segm.ioTime);
-        bench::printRow({std::to_string(s), "1.000",
-                         bench::fmt(block.ioTime / t0),
-                         bench::fmt(forr.ioTime / t0),
-                         bench::fmt(toSeconds(segm.ioTime))},
+    for (std::size_t i = 0; i + 2 < g.results.size(); i += 3) {
+        const double t0 = static_cast<double>(g.results[i].ioTime);
+        bench::printRow({std::to_string(g.points[i].cfg.system.streams),
+                         "1.000",
+                         bench::fmt(g.results[i + 1].ioTime / t0),
+                         bench::fmt(g.results[i + 2].ioTime / t0),
+                         bench::fmt(toSeconds(g.results[i].ioTime))},
                         widths);
     }
     return 0;

@@ -5,7 +5,7 @@
  * no writes.
  */
 
-#include <cstdio>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -18,48 +18,28 @@ main()
     bench::printHeader(
         "Figure 5: normalized I/O time vs Zipf coefficient");
 
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
+    // Columns per alpha: Segm, Segm+HDC, FOR, FOR+HDC.
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<double>(
+        "synthetic.zipf_alpha", {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    spec.axes.push_back(bench::axis<std::uint64_t>(
+        "hdc.budget_bytes_per_disk", {0, 2 * kMiB}));
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{8, 10, 12, 10, 12, 10};
     bench::printRow({"alpha", "Segm", "Segm+HDC", "FOR", "FOR+HDC",
                      "hitRate"},
                     widths);
-
-    const double alphas[] = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
-    for (double a : alphas) {
-        SyntheticParams sp;
-        sp.fileSizeBytes = 16 * kKiB;
-        sp.numRequests = 10000;
-        sp.zipfAlpha = a;
-        SyntheticWorkload w = makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks());
-
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        const std::vector<LayoutBitmap> bitmaps =
-            w.image->buildBitmaps(striping);
-
-        const std::uint64_t hdc = 2 * kMiB;
-        const RunResult segm = bench::runSystem(
-            SystemKind::Segm, 0, base, w.trace, bitmaps);
-        const RunResult segm_hdc = bench::runSystem(
-            SystemKind::Segm, hdc, base, w.trace, bitmaps);
-        const RunResult forr = bench::runSystem(
-            SystemKind::FOR, 0, base, w.trace, bitmaps);
-        const RunResult for_hdc = bench::runSystem(
-            SystemKind::FOR, hdc, base, w.trace, bitmaps);
-
-        const double t0 = static_cast<double>(segm.ioTime);
-        bench::printRow({bench::fmt(a, 1), "1.000",
-                         bench::fmt(segm_hdc.ioTime / t0),
-                         bench::fmt(forr.ioTime / t0),
-                         bench::fmt(for_hdc.ioTime / t0),
-                         bench::fmtPct(segm_hdc.hdcHitRate)},
+    for (std::size_t i = 0; i + 3 < g.results.size(); i += 4) {
+        const double t0 = static_cast<double>(g.results[i].ioTime);
+        bench::printRow({bench::fmt(g.points[i].cfg.synthetic.zipfAlpha,
+                                    1),
+                         "1.000",
+                         bench::fmt(g.results[i + 1].ioTime / t0),
+                         bench::fmt(g.results[i + 2].ioTime / t0),
+                         bench::fmt(g.results[i + 3].ioTime / t0),
+                         bench::fmtPct(g.results[i + 1].hdcHitRate)},
                         widths);
     }
     return 0;

@@ -5,7 +5,8 @@
  * alpha = 0.4.
  */
 
-#include <cstdio>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -18,48 +19,28 @@ main()
     bench::printHeader(
         "Figure 6: normalized I/O time vs write percentage");
 
-    SystemConfig base;
-    base.streams = 128;
-    base.workers = 64;
-    base.stripeUnitBytes = 128 * kKiB;
+    // Columns per write share: Segm, Segm+HDC, FOR, FOR+HDC.
+    SweepSpec spec = bench::syntheticSpec();
+    spec.axes.push_back(bench::axis<double>(
+        "synthetic.write_prob", {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}));
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    spec.axes.push_back(bench::axis<std::uint64_t>(
+        "hdc.budget_bytes_per_disk", {0, 2 * kMiB}));
+    const bench::Grid g = bench::runGrid({spec});
 
     const std::vector<int> widths{10, 10, 12, 10, 12};
     bench::printRow({"writes(%)", "Segm", "Segm+HDC", "FOR",
                      "FOR+HDC"},
                     widths);
-
-    for (int wpct = 0; wpct <= 60; wpct += 10) {
-        SyntheticParams sp;
-        sp.fileSizeBytes = 16 * kKiB;
-        sp.numRequests = 10000;
-        sp.zipfAlpha = 0.4;
-        sp.writeProb = wpct / 100.0;
-        SyntheticWorkload w = makeSynthetic(
-            sp, base.disks * base.disk.totalBlocks());
-
-        StripingMap striping(base.disks,
-                             base.stripeUnitBytes /
-                                 base.disk.blockSize,
-                             base.disk.totalBlocks());
-        const std::vector<LayoutBitmap> bitmaps =
-            w.image->buildBitmaps(striping);
-
-        const std::uint64_t hdc = 2 * kMiB;
-        const RunResult segm = bench::runSystem(
-            SystemKind::Segm, 0, base, w.trace, bitmaps);
-        const RunResult segm_hdc = bench::runSystem(
-            SystemKind::Segm, hdc, base, w.trace, bitmaps);
-        const RunResult forr = bench::runSystem(
-            SystemKind::FOR, 0, base, w.trace, bitmaps);
-        const RunResult for_hdc = bench::runSystem(
-            SystemKind::FOR, hdc, base, w.trace, bitmaps);
-
-        const double t0 = static_cast<double>(segm.ioTime);
-        bench::printRow({std::to_string(wpct), "1.000",
-                         bench::fmt(segm_hdc.ioTime / t0),
-                         bench::fmt(forr.ioTime / t0),
-                         bench::fmt(for_hdc.ioTime / t0)},
-                        widths);
+    for (std::size_t i = 0; i + 3 < g.results.size(); i += 4) {
+        const double t0 = static_cast<double>(g.results[i].ioTime);
+        bench::printRow(
+            {std::to_string(
+                 std::lround(g.points[i].cfg.synthetic.writeProb * 100)),
+             "1.000", bench::fmt(g.results[i + 1].ioTime / t0),
+             bench::fmt(g.results[i + 2].ioTime / t0),
+             bench::fmt(g.results[i + 3].ioTime / t0)},
+            widths);
     }
     return 0;
 }

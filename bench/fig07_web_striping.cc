@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::stripingSweep(
-        WorkloadKind::Web, bench::workloadScale(),
+    dtsim::bench::stripingSweep(
+        "fig07_web_striping.conf",
         "Figure 7: Web server - I/O time vs striping unit");
     return 0;
 }

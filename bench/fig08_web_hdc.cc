@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::hdcSweep(
-        WorkloadKind::Web, bench::workloadScale(), 16 * kKiB,
+    dtsim::bench::hdcSweep(
+        "fig08_web_hdc.conf",
         "Figure 8: Web server - I/O time vs HDC cache size");
     return 0;
 }

@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::stripingSweep(
-        WorkloadKind::Proxy, bench::workloadScale(),
+    dtsim::bench::stripingSweep(
+        "fig09_proxy_striping.conf",
         "Figure 9: Proxy server - I/O time vs striping unit");
     return 0;
 }

@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::hdcSweep(
-        WorkloadKind::Proxy, bench::workloadScale(), 64 * kKiB,
+    dtsim::bench::hdcSweep(
+        "fig10_proxy_hdc.conf",
         "Figure 10: Proxy server - I/O time vs HDC cache size");
     return 0;
 }

@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::stripingSweep(
-        WorkloadKind::File, bench::workloadScale(),
+    dtsim::bench::stripingSweep(
+        "fig11_file_striping.conf",
         "Figure 11: File server - I/O time vs striping unit");
     return 0;
 }

@@ -9,9 +9,8 @@
 int
 main()
 {
-    using namespace dtsim;
-    bench::hdcSweep(
-        WorkloadKind::File, bench::workloadScale(), 128 * kKiB,
+    dtsim::bench::hdcSweep(
+        "fig12_file_hdc.conf",
         "Figure 12: File server - I/O time vs HDC cache size");
     return 0;
 }
