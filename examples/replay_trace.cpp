@@ -29,15 +29,15 @@ main(int argc, char** argv)
     wp.fileSizeBytes = 16 * kKiB;
     wp.numRequests = 5000;
     wp.writeProb = 0.1;
-    SyntheticWorkload w =
-        makeSynthetic(wp, cfg.disks * cfg.disk.totalBlocks());
+    const std::uint64_t capacity = cfg.disks * cfg.disk.totalBlocks();
+    SyntheticWorkload w = makeSynthetic(wp, capacity);
     saveTrace(w.trace, path);
     std::printf("saved %zu records to %s\n", w.trace.size(),
                 path.c_str());
 
     // 2. Reload -- as a downstream consumer with only the file
     //    would.
-    const Trace trace = loadTrace(path);
+    const Trace trace = loadTrace(path, capacity);
     const TraceStats ts = computeStats(trace);
     std::printf("reloaded: %llu records, %llu blocks, %.1f%% "
                 "writes\n",

@@ -80,7 +80,7 @@ saveTrace(const Trace& trace, const std::string& path)
 }
 
 Trace
-loadTrace(const std::string& path)
+loadTrace(const std::string& path, std::uint64_t capacity_blocks)
 {
     std::FILE* f = std::fopen(path.c_str(), "r");
     if (!f)
@@ -89,7 +89,7 @@ loadTrace(const std::string& path)
     char line[256];
     for (unsigned lineno = 1; std::fgets(line, sizeof(line), f);
          ++lineno) {
-        const auto bad = [&](const char* what) {
+        const auto bad = [&](const std::string& what) {
             std::fclose(f);
             throw std::runtime_error(path + ":" + std::to_string(lineno) +
                                      ": " + what);
@@ -99,6 +99,9 @@ loadTrace(const std::string& path)
             bad("line too long");
         if (line[0] == '#' || line[0] == '\n')
             continue;
+        // %u would read "-1" as 4294967295; fields are plain digits.
+        if (std::strpbrk(line, "+-"))
+            bad("trace fields take no sign");
         TraceRecord r;
         unsigned w = 0;
         int end = 0;
@@ -106,6 +109,14 @@ loadTrace(const std::string& path)
                         &r.count, &w, &r.job, &end) != 4 ||
             line[end] != '\0')
             bad("bad trace record (want 'start count write job')");
+        if (r.count == 0)
+            bad("zero-length trace record");
+        if (w > 1)
+            bad("write flag must be 0 or 1");
+        if (r.start >= capacity_blocks ||
+            r.count > capacity_blocks - r.start)
+            bad("trace record past the end of the " +
+                std::to_string(capacity_blocks) + "-block array");
         r.isWrite = w != 0;
         trace.push_back(r);
     }

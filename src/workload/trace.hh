@@ -65,11 +65,13 @@ std::vector<std::uint64_t> accessCountsSorted(const Trace& trace,
 void saveTrace(const Trace& trace, const std::string& path);
 
 /**
- * Load a trace saved by saveTrace(). Throws std::runtime_error naming
- * `path:line` on a malformed line (trailing junk included), or `path`
- * if the file cannot be opened.
+ * Load a trace saved by saveTrace() for an array of `capacity_blocks`
+ * blocks. Throws std::runtime_error naming `path:line` on a malformed
+ * line (trailing junk, a signed field, a zero count, a write flag
+ * other than 0/1, or a record past the array's end), or `path` if the
+ * file cannot be opened.
  */
-Trace loadTrace(const std::string& path);
+Trace loadTrace(const std::string& path, std::uint64_t capacity_blocks);
 
 } // namespace dtsim
 

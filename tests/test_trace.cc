@@ -101,12 +101,15 @@ class TempFile
     std::string path_;
 };
 
+/** The array capacity, in blocks, the tests load traces for. */
+constexpr std::uint64_t kCapacity = 1 << 20;
+
 /** The message loadTrace() throws for `path`, or "" if it loads. */
 std::string
 loadError(const std::string& path)
 {
     try {
-        loadTrace(path);
+        loadTrace(path, kCapacity);
     } catch (const std::runtime_error& e) {
         return e.what();
     }
@@ -118,7 +121,7 @@ TEST(TracePersistence, SaveLoadRoundTrip)
     const Trace t = sampleTrace();
     const TempFile file;
     saveTrace(t, file.path());
-    const Trace loaded = loadTrace(file.path());
+    const Trace loaded = loadTrace(file.path(), kCapacity);
     ASSERT_EQ(loaded.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
         EXPECT_EQ(loaded[i].start, t[i].start);
@@ -130,7 +133,7 @@ TEST(TracePersistence, SaveLoadRoundTrip)
 
 TEST(TracePersistence, LoadMissingFileThrows)
 {
-    EXPECT_THROW(loadTrace("/nonexistent/nope.txt"),
+    EXPECT_THROW(loadTrace("/nonexistent/nope.txt", kCapacity),
                  std::runtime_error);
     EXPECT_EQ(loadError("/nonexistent/nope.txt"),
               "/nonexistent/nope.txt: cannot open trace file");
@@ -140,7 +143,7 @@ TEST(TracePersistence, LoadMalformedThrows)
 {
     const TempFile file;
     file.write("# header\nnot a record\n");
-    EXPECT_THROW(loadTrace(file.path()), std::runtime_error);
+    EXPECT_THROW(loadTrace(file.path(), kCapacity), std::runtime_error);
 }
 
 TEST(TracePersistence, LoadErrorNamesFileAndLine)
@@ -159,13 +162,13 @@ TEST(TracePersistence, LoadRejectsTrailingJunk)
 
     // Trailing blanks, a missing final newline and CRLF still load.
     file.write("1 2 0 0  \n7 1 1 2");
-    const Trace t = loadTrace(file.path());
+    const Trace t = loadTrace(file.path(), kCapacity);
     ASSERT_EQ(t.size(), 2u);
     EXPECT_EQ(t[1].start, 7u);
     EXPECT_TRUE(t[1].isWrite);
     EXPECT_EQ(t[1].job, 2u);
     file.write("1 2 0 0\r\n");
-    EXPECT_EQ(loadTrace(file.path()).size(), 1u);
+    EXPECT_EQ(loadTrace(file.path(), kCapacity).size(), 1u);
 }
 
 TEST(TracePersistence, LoadRejectsOverlongLine)
@@ -174,6 +177,29 @@ TEST(TracePersistence, LoadRejectsOverlongLine)
     const std::string line = "1 2 0 0" + std::string(300, ' ') + "9\n";
     file.write(("# header\n" + line).c_str());
     EXPECT_EQ(loadError(file.path()).rfind(file.path() + ":2: ", 0), 0u);
+}
+
+TEST(TracePersistence, LoadRejectsOutOfRangeRecords)
+{
+    const TempFile file;
+    // A zero count, a signed field (%u would read -1 as 4294967295),
+    // a start past the array and a write flag other than 0/1 each
+    // fail on their own line.
+    for (const char* rec : {"5 0 0 0", "5 -1 0 0", "99999999999999 4 0 0",
+                            "+5 1 0 0", "5 1 2 0"}) {
+        file.write(("# header\n1 2 0 0\n" + std::string(rec) + "\n")
+                       .c_str());
+        EXPECT_EQ(loadError(file.path()).rfind(file.path() + ":3: ", 0),
+                  0u)
+            << rec << ": " << loadError(file.path());
+    }
+
+    // The last block of the array is in range, one more is not.
+    const std::string last = std::to_string(kCapacity - 2);
+    file.write((last + " 2 1 0\n").c_str());
+    EXPECT_EQ(loadTrace(file.path(), kCapacity).size(), 1u);
+    file.write((last + " 3 1 0\n").c_str());
+    EXPECT_EQ(loadError(file.path()).rfind(file.path() + ":1: ", 0), 0u);
 }
 
 } // namespace

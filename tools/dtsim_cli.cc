@@ -512,7 +512,9 @@ main(int argc, char** argv)
                   "carry none (use --workload instead)");
         Trace trace;
         try {
-            trace = loadTrace(load_trace);
+            trace = loadTrace(load_trace,
+                              logicalDisks(sim.system) *
+                                  sim.system.disk.totalBlocks());
         } catch (const std::runtime_error& e) {
             fatal("--load-trace: %s", e.what());
         }
