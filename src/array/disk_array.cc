@@ -420,30 +420,8 @@ ControllerStats
 DiskArray::aggregateStats() const
 {
     ControllerStats total;
-    for (const auto& c : ctrls_) {
-        const ControllerStats& s = c->stats();
-        total.reads += s.reads;
-        total.writes += s.writes;
-        total.readBlocks += s.readBlocks;
-        total.writeBlocks += s.writeBlocks;
-        total.cacheHitRequests += s.cacheHitRequests;
-        total.hdcHitRequests += s.hdcHitRequests;
-        total.hdcHitBlocks += s.hdcHitBlocks;
-        total.raHitBlocks += s.raHitBlocks;
-        total.mediaAccesses += s.mediaAccesses;
-        total.mediaBlocks += s.mediaBlocks;
-        total.readAheadBlocks += s.readAheadBlocks;
-        total.flushWrites += s.flushWrites;
-        total.flushBlocks += s.flushBlocks;
-        total.seekTime += s.seekTime;
-        total.rotTime += s.rotTime;
-        total.xferTime += s.xferTime;
-        total.mediaBusy += s.mediaBusy;
-        total.queueTime += s.queueTime;
-        total.busTime += s.busTime;
-        total.latencySum += s.latencySum;
-        total.latencyMax = std::max(total.latencyMax, s.latencyMax);
-    }
+    for (const auto& c : ctrls_)
+        total += c->stats();
     return total;
 }
 
@@ -451,12 +429,8 @@ RaCounters
 DiskArray::aggregateRaCounters() const
 {
     RaCounters total;
-    for (const auto& c : ctrls_) {
-        const RaCounters& r = c->raCounters();
-        total.specInserted += r.specInserted;
-        total.specUsed += r.specUsed;
-        total.specWasted += r.specWasted;
-    }
+    for (const auto& c : ctrls_)
+        total += c->raCounters();
     return total;
 }
 

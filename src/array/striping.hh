@@ -75,7 +75,6 @@ class StripingMap
                    std::vector<SubRange>& out) const;
 
     unsigned disks() const { return disks_; }
-    std::uint64_t unitBlocks() const { return unit_; }
 
     /** Capacity of the whole array in logical blocks. */
     std::uint64_t

@@ -31,6 +31,16 @@ struct RaCounters
     std::uint64_t specUsed = 0;      ///< later consumed by the host
     std::uint64_t specWasted = 0;    ///< dropped without being used
 
+    /** Add another cache's (or run's) counters to these. */
+    RaCounters&
+    operator+=(const RaCounters& o)
+    {
+        specInserted += o.specInserted;
+        specUsed += o.specUsed;
+        specWasted += o.specWasted;
+        return *this;
+    }
+
     /** Fraction of speculative blocks the host eventually consumed. */
     double
     accuracy() const

@@ -6,6 +6,33 @@
 
 namespace dtsim {
 
+ControllerStats&
+ControllerStats::operator+=(const ControllerStats& o)
+{
+    reads += o.reads;
+    writes += o.writes;
+    readBlocks += o.readBlocks;
+    writeBlocks += o.writeBlocks;
+    cacheHitRequests += o.cacheHitRequests;
+    hdcHitRequests += o.hdcHitRequests;
+    hdcHitBlocks += o.hdcHitBlocks;
+    raHitBlocks += o.raHitBlocks;
+    mediaAccesses += o.mediaAccesses;
+    mediaBlocks += o.mediaBlocks;
+    readAheadBlocks += o.readAheadBlocks;
+    flushWrites += o.flushWrites;
+    flushBlocks += o.flushBlocks;
+    seekTime += o.seekTime;
+    rotTime += o.rotTime;
+    xferTime += o.xferTime;
+    mediaBusy += o.mediaBusy;
+    queueTime += o.queueTime;
+    busTime += o.busTime;
+    latencySum += o.latencySum;
+    latencyMax = std::max(latencyMax, o.latencyMax);
+    return *this;
+}
+
 DiskController::DiskController(SerialMerge& merge, ScsiBus& bus,
                                const DiskParams& params,
                                const ControllerConfig& cfg,
@@ -78,16 +105,6 @@ std::uint64_t
 DiskController::hdcPinnedBlocks() const
 {
     return hdc_ ? hdc_->pinnedBlocks() : 0;
-}
-
-double
-DiskController::utilization() const
-{
-    const Tick now = eq_.now();
-    if (now == 0)
-        return 0.0;
-    return static_cast<double>(stats_.mediaBusy) /
-           static_cast<double>(now);
 }
 
 std::unique_ptr<MediaJob>

@@ -107,6 +107,12 @@ struct ControllerStats
 
     /** Largest single-request latency. */
     Tick latencyMax = 0;
+
+    /**
+     * Add another controller's counters to these (latencyMax takes
+     * the larger of the two).
+     */
+    ControllerStats& operator+=(const ControllerStats& o);
 };
 
 /**
@@ -244,9 +250,6 @@ class DiskController
 
     /** Outstanding requests (queued or in flight). */
     std::uint64_t outstanding() const { return outstanding_; }
-
-    /** Drive utilization: media busy time / elapsed time. */
-    double utilization() const;
 
   private:
     /** Cached-prefix probe across HDC and the read-ahead cache. */

@@ -1,7 +1,10 @@
 #include "core/experiment.hh"
 
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "array/striping.hh"
@@ -212,47 +215,74 @@ Experiment::layoutBitmaps()
     return ownBitmaps_;
 }
 
-SweepJob
-Experiment::job()
-{
-    SweepJob j;
-    j.cfg = cfg_.system;
-    j.trace = &theTrace();
-    const std::vector<LayoutBitmap>& bm =
-        extBitmaps_ ? *extBitmaps_ : ownBitmaps_;
-    if (!bm.empty())
-        j.bitmaps = &bm;
-    const std::vector<ArrayBlock>& p = extPins_ ? *extPins_ : ownPins_;
-    if (!p.empty())
-        j.pinned = &p;
-    j.opts = opts_;
-    // The fs-stats pointer is resolved late so opts_ never holds a
-    // pointer into this Experiment (which would dangle on move).
-    if (!j.opts.fsStats && workload_.hasFsStats)
-        j.opts.fsStats = &workload_.fsStats;
-    return j;
-}
-
 RunResult
 Experiment::run()
 {
     prepare();
-    const SweepJob j = job();
-    return runTrace(j.cfg, *j.trace, j.opts, j.bitmaps, j.pinned);
+    const std::vector<LayoutBitmap>& bm =
+        extBitmaps_ ? *extBitmaps_ : ownBitmaps_;
+    const std::vector<ArrayBlock>& pins = extPins_ ? *extPins_ : ownPins_;
+    RunOptions opts = opts_;
+    // The fs-stats pointer is resolved late so opts_ never holds a
+    // pointer into this Experiment (which would dangle on move).
+    if (!opts.fsStats && workload_.hasFsStats)
+        opts.fsStats = &workload_.fsStats;
+    return runTrace(cfg_.system, theTrace(), opts,
+                    bm.empty() ? nullptr : &bm,
+                    pins.empty() ? nullptr : &pins);
 }
 
 std::vector<RunResult>
 Experiment::runAll(std::vector<Experiment>& batch, unsigned threads)
 {
-    // Prepare first, build jobs second: jobs hold pointers into the
-    // Experiments, which must not move once referenced.
-    std::vector<SweepJob> jobs;
-    jobs.reserve(batch.size());
+    // Workload builds and pin plans happen here, on the calling
+    // thread; the pool only runs prepared experiments.
     for (Experiment& e : batch)
         e.prepare();
-    for (Experiment& e : batch)
-        jobs.push_back(e.job());
-    return runSweep(jobs, threads);
+
+    std::vector<RunResult> results(batch.size());
+    if (batch.empty())
+        return results;
+    if (threads == 0)
+        threads = sweepJobs();
+    if (threads > batch.size())
+        threads = static_cast<unsigned>(batch.size());
+
+    std::vector<std::exception_ptr> errors(batch.size());
+
+    // Workers claim experiments off a shared index; each one only
+    // reads its shared inputs and writes its own result slot.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= batch.size())
+                return;
+            try {
+                results[i] = batch[i].run();
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+
+    if (threads <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            pool.emplace_back(worker);
+        for (std::thread& t : pool)
+            t.join();
+    }
+
+    for (const std::exception_ptr& e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+    return results;
 }
 
 } // namespace dtsim

@@ -83,9 +83,6 @@ class DiskMechanism
     /** Arm's current cylinder. */
     std::uint32_t currentCylinder() const { return cylinder_; }
 
-    /** Active head. */
-    std::uint32_t currentHead() const { return head_; }
-
     /** The platter angle at time `t`, in [0, 1). */
     double angleAt(Tick t) const;
 

@@ -60,15 +60,6 @@ struct BufferCacheStats
                                static_cast<double>(readLookups)
                    : 0.0;
     }
-
-    /** Fraction of write lookups absorbed into already-dirty blocks. */
-    double
-    writeMergeRate() const
-    {
-        return writeLookups ? static_cast<double>(writeMerges) /
-                                  static_cast<double>(writeLookups)
-                            : 0.0;
-    }
 };
 
 /** Host buffer cache (LRU, write-back). */

@@ -80,7 +80,6 @@ class Slab
     const T& operator[](std::uint32_t n) const { return nodes_[n].data; }
 
     std::uint32_t nextOf(std::uint32_t n) const { return nodes_[n].next; }
-    std::uint32_t prevOf(std::uint32_t n) const { return nodes_[n].prev; }
 
   private:
     template <typename U>

@@ -119,7 +119,6 @@ class Histogram : public StatBase
 
     std::uint64_t count() const { return count_; }
     std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
 

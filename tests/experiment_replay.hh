@@ -20,11 +20,15 @@
 namespace dtsim {
 namespace test {
 
-inline RunResult
-replayTrace(const SystemConfig& cfg, const Trace& trace,
-            const std::vector<LayoutBitmap>* bitmaps = nullptr,
-            const std::vector<ArrayBlock>* pinned = nullptr,
-            const RunOptions& opts = RunOptions{})
+/**
+ * A replay Experiment over `trace` with exactly the given bitmaps and
+ * pin plan (none when null); the inputs must outlive it.
+ */
+inline Experiment
+replayExperiment(const SystemConfig& cfg, const Trace& trace,
+                 const std::vector<LayoutBitmap>* bitmaps = nullptr,
+                 const std::vector<ArrayBlock>* pinned = nullptr,
+                 const RunOptions& opts = RunOptions{})
 {
     static const std::vector<ArrayBlock> no_pins;
     Experiment e(cfg);
@@ -32,7 +36,16 @@ replayTrace(const SystemConfig& cfg, const Trace& trace,
     if (bitmaps)
         e.bitmaps(*bitmaps);
     e.pins(pinned ? *pinned : no_pins);
-    return e.run();
+    return e;
+}
+
+inline RunResult
+replayTrace(const SystemConfig& cfg, const Trace& trace,
+            const std::vector<LayoutBitmap>* bitmaps = nullptr,
+            const std::vector<ArrayBlock>* pinned = nullptr,
+            const RunOptions& opts = RunOptions{})
+{
+    return replayExperiment(cfg, trace, bitmaps, pinned, opts).run();
 }
 
 } // namespace test

@@ -212,23 +212,29 @@ TEST(RequestTrace, StatsDumpContainsDocumentedNames)
 TEST(RequestTrace, SweepAggregationMatchesSerial)
 {
     const Trace trace = testTrace(200);
-    std::vector<SweepJob> jobs;
-    for (SystemKind k : {SystemKind::Segm, SystemKind::Block,
-                         SystemKind::NoRA, SystemKind::Segm}) {
-        SweepJob job;
-        job.cfg = testConfig(k);
-        job.trace = &trace;
-        jobs.push_back(job);
-    }
+    const auto batch = [&] {
+        std::vector<Experiment> out;
+        for (SystemKind k : {SystemKind::Segm, SystemKind::Block,
+                             SystemKind::NoRA, SystemKind::Segm})
+            out.push_back(test::replayExperiment(testConfig(k), trace));
+        return out;
+    };
 
-    const std::vector<RunResult> serial = runSweep(jobs, 1);
-    const std::vector<RunResult> parallel = runSweep(jobs, 4);
+    std::vector<Experiment> serial_batch = batch();
+    std::vector<Experiment> parallel_batch = batch();
+    const std::vector<RunResult> serial =
+        Experiment::runAll(serial_batch, 1);
+    const std::vector<RunResult> parallel =
+        Experiment::runAll(parallel_batch, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResults(serial[i], parallel[i]);
 
-    const ControllerStats a = aggregateSweepStats(serial);
-    const ControllerStats b = aggregateSweepStats(parallel);
+    ControllerStats a, b;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        a += serial[i].agg;
+        b += parallel[i].agg;
+    }
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.mediaAccesses, b.mediaAccesses);
     EXPECT_EQ(a.queueTime, b.queueTime);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the parallel sweep runner: runSweep() must return results
- * bit-identical to sequential runTrace() calls, at any thread count.
+ * Tests for the parallel sweep pool: Experiment::runAll() must return
+ * results bit-identical to running each experiment alone, at any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +56,14 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.agg.mediaBusy, b.agg.mediaBusy);
 }
 
+/** One replay in the test batch: a config and its inputs. */
+struct ReplayJob
+{
+    SystemConfig cfg;
+    const std::vector<LayoutBitmap>* bitmaps = nullptr;
+    const std::vector<ArrayBlock>* pinned = nullptr;
+};
+
 /** A small Web-server workload plus jobs across striping/HDC/kind. */
 class SweepTest : public ::testing::Test
 {
@@ -81,18 +90,13 @@ class SweepTest : public ::testing::Test
             bitmaps_[i] =
                 workload_.image->buildBitmaps(striping);
 
-            SweepJob segm;
-            segm.cfg = cfg;
+            ReplayJob segm{cfg};
             segm.cfg.kind = SystemKind::Segm;
-            segm.trace = &workload_.trace;
-            jobs_.push_back(std::move(segm));
+            jobs_.push_back(segm);
 
-            SweepJob forr;
-            forr.cfg = cfg;
+            ReplayJob forr{cfg, &bitmaps_[i]};
             forr.cfg.kind = SystemKind::FOR;
-            forr.trace = &workload_.trace;
-            forr.bitmaps = &bitmaps_[i];
-            jobs_.push_back(std::move(forr));
+            jobs_.push_back(forr);
         }
 
         // One HDC job so pin-plan wiring is covered too.
@@ -100,64 +104,78 @@ class SweepTest : public ::testing::Test
             proto.disks,
             proto.stripeUnitBytes / proto.disk.blockSize,
             proto.disk.totalBlocks());
-        SweepJob hdc;
-        hdc.cfg = proto;
+        ReplayJob hdc{proto};
         hdc.cfg.streams = params.streams;
         hdc.cfg.hdc.budgetBytesPerDisk = 1 * kMiB;
-        hdc.trace = &workload_.trace;
         pinned_ = selectPinnedBlocks(
             workload_.trace, striping,
             hdcBlocksPerDisk(hdc.cfg));
         hdc.pinned = &pinned_;
-        jobs_.push_back(std::move(hdc));
+        jobs_.push_back(hdc);
+    }
+
+    /** The jobs as a fresh batch of replay Experiments. */
+    std::vector<Experiment>
+    batch() const
+    {
+        std::vector<Experiment> out;
+        for (const ReplayJob& job : jobs_)
+            out.push_back(test::replayExperiment(
+                job.cfg, workload_.trace, job.bitmaps, job.pinned));
+        return out;
+    }
+
+    /** Each job run alone, in order. */
+    std::vector<RunResult>
+    sequential() const
+    {
+        std::vector<RunResult> out;
+        for (const ReplayJob& job : jobs_)
+            out.push_back(test::replayTrace(job.cfg, workload_.trace,
+                                            job.bitmaps, job.pinned));
+        return out;
     }
 
     ServerWorkload workload_;
     std::vector<std::vector<LayoutBitmap>> bitmaps_;
     std::vector<ArrayBlock> pinned_;
-    std::vector<SweepJob> jobs_;
+    std::vector<ReplayJob> jobs_;
 };
 
 TEST_F(SweepTest, SingleThreadMatchesSequentialRunTrace)
 {
-    std::vector<RunResult> sequential;
-    for (const SweepJob& job : jobs_) {
-        sequential.push_back(test::replayTrace(
-            job.cfg, *job.trace, job.bitmaps, job.pinned));
-    }
-
-    const std::vector<RunResult> swept = runSweep(jobs_, 1);
-    ASSERT_EQ(swept.size(), sequential.size());
+    const std::vector<RunResult> expected = sequential();
+    std::vector<Experiment> experiments = batch();
+    const std::vector<RunResult> swept =
+        Experiment::runAll(experiments, 1);
+    ASSERT_EQ(swept.size(), expected.size());
     for (std::size_t i = 0; i < swept.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(swept[i], sequential[i]);
+        expectIdentical(swept[i], expected[i]);
     }
 }
 
 TEST_F(SweepTest, MultiThreadIsBitIdenticalToSequential)
 {
-    std::vector<RunResult> sequential;
-    for (const SweepJob& job : jobs_) {
-        sequential.push_back(test::replayTrace(
-            job.cfg, *job.trace, job.bitmaps, job.pinned));
-    }
-
+    const std::vector<RunResult> expected = sequential();
     for (unsigned threads : {2u, 4u, 7u}) {
+        std::vector<Experiment> experiments = batch();
         const std::vector<RunResult> swept =
-            runSweep(jobs_, threads);
-        ASSERT_EQ(swept.size(), sequential.size());
+            Experiment::runAll(experiments, threads);
+        ASSERT_EQ(swept.size(), expected.size());
         for (std::size_t i = 0; i < swept.size(); ++i) {
             SCOPED_TRACE(::testing::Message()
                          << "threads=" << threads << " job=" << i);
-            expectIdentical(swept[i], sequential[i]);
+            expectIdentical(swept[i], expected[i]);
         }
     }
 }
 
 TEST(Sweep, EmptyAndThreadCountEdgeCases)
 {
-    EXPECT_TRUE(runSweep({}, 0).empty());
-    EXPECT_TRUE(runSweep({}, 16).empty());
+    std::vector<Experiment> none;
+    EXPECT_TRUE(Experiment::runAll(none, 0).empty());
+    EXPECT_TRUE(Experiment::runAll(none, 16).empty());
 }
 
 TEST(Sweep, JobsEnvOverridesThreadCount)
