@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analytic/models.hh"
+#include "array/striping.hh"
 #include "bench/bench_util.hh"
 #include "fs/file_layout.hh"
 

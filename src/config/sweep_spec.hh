@@ -4,7 +4,7 @@
  * parsed from a config file, expanded into one SimulationConfig per
  * grid point. New parameter studies need a .conf file, not new C++ --
  * the fig07-fig12 figure sweeps ship as .conf files under examples/
- * and the figure benches build the same specs programmatically.
+ * and the figure benches load them.
  *
  * Sweep-file syntax is the plain config-file syntax plus axis lines:
  *

@@ -5,12 +5,12 @@
  * plans, and parallel runTrace() executions.
  *
  * This is the layer that makes sweeps data-driven: the CLI's --sweep
- * and --system all modes, the fig07-fig12 figure benches, and the
+ * and --system all modes, every bench that replays a workload, and the
  * shipped sweep .conf files in examples/ all expand to SweepPoints and
  * run through runSweepPoints(). Workloads, bitmaps, and pin plans are
  * deduplicated across grid points (a striping sweep builds its server
- * workload once, like the hand-written benches did), and every run's
- * outputs begin with its own effective-config header.
+ * workload once), and every run's outputs begin with its own
+ * effective-config header.
  */
 
 #ifndef DTSIM_CORE_SWEEP_DRIVER_HH
