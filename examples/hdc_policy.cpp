@@ -37,15 +37,12 @@ main()
 
     SyntheticWorkload w =
         makeSynthetic(wp, cfg.disks * cfg.disk.totalBlocks());
-    StripingMap striping(cfg.disks,
-                         cfg.stripeUnitBytes / cfg.disk.blockSize,
-                         cfg.disk.totalBlocks());
     std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+        w.image->buildBitmaps(cfg.striping());
 
     // Policy (a): miss-count planner (the paper's).
     const std::vector<ArrayBlock> top_misses = selectPinnedBlocks(
-        w.trace, striping, hdcBlocksPerDisk(cfg));
+        w.trace, cfg.striping(), hdcBlocksPerDisk(cfg));
 
     // Policy (b): naive -- first blocks of the most popular files
     // (rank order), same budget.

@@ -30,8 +30,10 @@ main()
     wp.zipfAlpha = 0.4;
 
     // 2. The system: 8 IBM Ultrastar 36Z15 drives behind one
-    //    Ultra160 bus, 128 KB striping unit, 128 server streams.
+    //    Ultra160 bus, 128 KB striping unit, 128 server streams,
+    //    and the conventional controller (Segm).
     SystemConfig cfg;
+    cfg.kind = SystemKind::Segm;
     cfg.disks = 8;
     cfg.stripeUnitBytes = 128 * kKiB;
     cfg.streams = 128;
@@ -39,24 +41,16 @@ main()
     // Build the files on the array and the per-disk FOR bitmaps.
     SyntheticWorkload w =
         makeSynthetic(wp, cfg.disks * cfg.disk.totalBlocks());
-    StripingMap striping(cfg.disks,
-                         cfg.stripeUnitBytes / cfg.disk.blockSize,
-                         cfg.disk.totalBlocks());
     std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+        w.image->buildBitmaps(cfg.striping());
 
     // 3./4. Run the conventional controller and FOR as Experiments
     //       over the shared trace, then compare.
-    const RunResult segm = Experiment(cfg)
-                               .kind(SystemKind::Segm)
-                               .replay(w.trace)
-                               .run();
-
-    const RunResult forr = Experiment(cfg)
-                               .kind(SystemKind::FOR)
-                               .replay(w.trace)
-                               .bitmaps(bitmaps)
-                               .run();
+    SystemConfig for_cfg = cfg;
+    for_cfg.kind = SystemKind::FOR;
+    const RunResult segm = Experiment(cfg).replay(w.trace).run();
+    const RunResult forr =
+        Experiment(for_cfg).replay(w.trace).bitmaps(bitmaps).run();
 
     std::printf("conventional (Segm): %8.3f s  (%.1f MB/s, "
                 "hit rate %.1f%%)\n",

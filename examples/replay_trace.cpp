@@ -22,6 +22,7 @@ main(int argc, char** argv)
         argc > 1 ? argv[1] : "/tmp/dtsim_example_trace.txt";
 
     SystemConfig cfg;
+    cfg.kind = SystemKind::Segm;
     cfg.streams = 64;
 
     // 1. Generate and save.
@@ -48,21 +49,14 @@ main(int argc, char** argv)
     // 3. Replay on the conventional controller and on FOR. The FOR
     //    bitmaps come from the image; a captured trace would carry a
     //    bitmap dump instead.
-    StripingMap striping(cfg.disks,
-                         cfg.stripeUnitBytes / cfg.disk.blockSize,
-                         cfg.disk.totalBlocks());
     std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+        w.image->buildBitmaps(cfg.striping());
 
-    const RunResult segm = Experiment(cfg)
-                               .kind(SystemKind::Segm)
-                               .replay(trace)
-                               .run();
-    const RunResult forr = Experiment(cfg)
-                               .kind(SystemKind::FOR)
-                               .replay(trace)
-                               .bitmaps(bitmaps)
-                               .run();
+    SystemConfig for_cfg = cfg;
+    for_cfg.kind = SystemKind::FOR;
+    const RunResult segm = Experiment(cfg).replay(trace).run();
+    const RunResult forr =
+        Experiment(for_cfg).replay(trace).bitmaps(bitmaps).run();
 
     std::printf("Segm: %.3f s   FOR: %.3f s   (%.1f%% better)\n",
                 toSeconds(segm.ioTime), toSeconds(forr.ioTime),

@@ -54,20 +54,16 @@ main(int argc, char** argv)
     for (std::size_t i = 0; i < n_units; ++i) {
         SystemConfig cfg = proto;
         cfg.stripeUnitBytes = units_kb[i] * kKiB;
+        bitmaps[i] = w.image->buildBitmaps(cfg.striping());
 
-        StripingMap striping(cfg.disks,
-                             cfg.stripeUnitBytes / cfg.disk.blockSize,
-                             cfg.disk.totalBlocks());
-        bitmaps[i] = w.image->buildBitmaps(striping);
-
+        cfg.kind = SystemKind::Segm;
         Experiment segm(cfg);
-        segm.kind(SystemKind::Segm).replay(w.trace);
+        segm.replay(w.trace);
         batch.push_back(std::move(segm));
 
+        cfg.kind = SystemKind::FOR;
         Experiment forr(cfg);
-        forr.kind(SystemKind::FOR)
-            .replay(w.trace)
-            .bitmaps(bitmaps[i]);
+        forr.replay(w.trace).bitmaps(bitmaps[i]);
         batch.push_back(std::move(forr));
     }
 

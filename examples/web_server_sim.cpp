@@ -23,13 +23,11 @@ runKind(SystemKind kind, std::uint64_t hdc_bytes,
         const std::vector<LayoutBitmap>& bitmaps,
         const std::vector<ArrayBlock>& pinned)
 {
-    HdcSpec hdc = base.hdc;
-    hdc.budgetBytesPerDisk = hdc_bytes;
-    Experiment e(base);
-    e.kind(kind)
-        .hdc(hdc)
-        .replay(trace)
-        .bitmaps(bitmaps);
+    SystemConfig cfg = base;
+    cfg.kind = kind;
+    cfg.hdc.budgetBytesPerDisk = hdc_bytes;
+    Experiment e(cfg);
+    e.replay(trace).bitmaps(bitmaps);
     if (hdc_bytes > 0)
         e.pins(pinned);
     return e.run();
@@ -59,16 +57,13 @@ main()
                 static_cast<unsigned long long>(ts.records),
                 ts.writeRecordFraction * 100.0, ts.meanRecordBlocks);
 
-    StripingMap striping(cfg.disks,
-                         cfg.stripeUnitBytes / cfg.disk.blockSize,
-                         cfg.disk.totalBlocks());
     const std::vector<LayoutBitmap> bitmaps =
-        w.image->buildBitmaps(striping);
+        w.image->buildBitmaps(cfg.striping());
 
     // HDC pin plan: the blocks causing the most host-cache misses.
     const std::uint64_t hdc_bytes = 2 * kMiB;
     const std::vector<ArrayBlock> pinned = selectPinnedBlocks(
-        w.trace, striping, hdc_bytes / cfg.disk.blockSize);
+        w.trace, cfg.striping(), hdc_bytes / cfg.disk.blockSize);
 
     const RunResult segm =
         runKind(SystemKind::Segm, 0, cfg, w.trace, bitmaps, pinned);

@@ -546,6 +546,18 @@ validateConfig(const SimulationConfig& sim)
     return errs;
 }
 
+void
+requireValidConfig(const SimulationConfig& sim)
+{
+    const std::vector<std::string> errs = validateConfig(sim);
+    if (errs.empty())
+        return;
+    std::ostringstream os;
+    for (const std::string& e : errs)
+        os << "\n  " << e;
+    fatal("invalid configuration:%s", os.str().c_str());
+}
+
 std::vector<ParamValue>
 paramValues(const SimulationConfig& sim)
 {

@@ -84,6 +84,9 @@ void bindParams(config::ParamRegistry& reg, SimulationConfig& sim);
  */
 std::vector<std::string> validateConfig(const SimulationConfig& sim);
 
+/** fatal() naming every rule validateConfig() finds `sim` violates. */
+void requireValidConfig(const SimulationConfig& sim);
+
 /** One registered parameter of a config, canonically formatted. */
 struct ParamValue
 {

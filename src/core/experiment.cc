@@ -3,29 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <sstream>
 #include <thread>
 #include <utility>
 
-#include "array/striping.hh"
 #include "core/run_impl.hh"
 #include "hdc/hdc_planner.hh"
-#include "sim/logging.hh"
 
 namespace dtsim {
-
-namespace {
-
-/** Milliseconds of host wall time since `begin`. */
-double
-msSince(std::chrono::steady_clock::time_point begin)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - begin)
-        .count();
-}
-
-} // namespace
 
 Experiment::Experiment(SimulationConfig sim) : cfg_(std::move(sim)) {}
 
@@ -34,11 +18,9 @@ Experiment::Experiment(const SystemConfig& sys)
     cfg_.system = sys;
 }
 
-Experiment&
-Experiment::kind(SystemKind k)
+Experiment::Experiment(SimulationConfig sim, SweepCache& cache)
+    : cfg_(std::move(sim)), cache_(&cache)
 {
-    cfg_.system.kind = k;
-    return *this;
 }
 
 Experiment&
@@ -51,21 +33,21 @@ Experiment::hdc(const HdcSpec& spec)
 Experiment&
 Experiment::replay(const Trace& t)
 {
-    extTrace_ = &t;
+    trace_ = &t;
     return *this;
 }
 
 Experiment&
 Experiment::bitmaps(const std::vector<LayoutBitmap>& bm)
 {
-    extBitmaps_ = &bm;
+    bitmaps_ = &bm;
     return *this;
 }
 
 Experiment&
 Experiment::pins(const std::vector<ArrayBlock>& p)
 {
-    extPins_ = &p;
+    pins_ = &p;
     return *this;
 }
 
@@ -84,28 +66,6 @@ Experiment::statsTo(StatsSink sink)
 }
 
 Experiment&
-Experiment::traceTo(std::string path)
-{
-    opts_.tracePath = std::move(path);
-    return *this;
-}
-
-Experiment&
-Experiment::streamTo(std::string path, Tick interval)
-{
-    opts_.statsStream.path = std::move(path);
-    opts_.statsStream.intervalTicks = interval;
-    return *this;
-}
-
-Experiment&
-Experiment::statsEvery(Tick interval)
-{
-    opts_.statsIntervalTicks = interval;
-    return *this;
-}
-
-Experiment&
 Experiment::header(std::string text)
 {
     opts_.configHeader = std::move(text);
@@ -119,21 +79,6 @@ Experiment::options(const RunOptions& opts)
     return *this;
 }
 
-const Trace&
-Experiment::theTrace() const
-{
-    return extTrace_ ? *extTrace_ : workload_.trace;
-}
-
-StripingMap
-Experiment::striping() const
-{
-    const SystemConfig& sys = cfg_.system;
-    return StripingMap(logicalDisks(sys),
-                       sys.stripeUnitBytes / sys.disk.blockSize,
-                       sys.disk.totalBlocks());
-}
-
 void
 Experiment::prepare()
 {
@@ -141,37 +86,37 @@ Experiment::prepare()
         return;
     prepared_ = true;
 
-    if (!extTrace_) {
-        applyModelStreams(cfg_);
-        const std::vector<std::string> errs = validateConfig(cfg_);
-        if (!errs.empty()) {
-            std::ostringstream os;
-            for (const std::string& e : errs)
-                os << "\n  " << e;
-            fatal("invalid configuration:%s", os.str().c_str());
-        }
-        const auto begin = std::chrono::steady_clock::now();
-        workload_ = buildWorkload(cfg_);
-        opts_.prepared.workloadMs = msSince(begin);
-    }
-
     const SystemConfig& sys = cfg_.system;
-    if (!extBitmaps_ && sys.kind == SystemKind::FOR &&
-        workload_.image) {
+    const bool oracle =
+        sys.hdc.enabled() && sys.hdc.policy == HdcPolicy::Oracle;
+    if (!trace_) {
+        applyModelStreams(cfg_);
+        requireValidConfig(cfg_);
+        if (!cache_) {
+            ownCache_ = std::make_unique<SweepCache>();
+            cache_ = ownCache_.get();
+        }
+        PreparePhases& phases = opts_.prepared;
+        const BuiltWorkload& w = cache_->workload(cfg_, phases);
+        trace_ = &w.trace;
+        if (!opts_.fsStats && w.hasFsStats)
+            opts_.fsStats = &w.fsStats;
+        if (!bitmaps_ && sys.kind == SystemKind::FOR)
+            bitmaps_ = &cache_->bitmaps(cfg_, phases);
+        if (!pins_ && oracle)
+            pins_ = &cache_->pins(cfg_, phases);
+    } else if (!pins_ && oracle) {
         const auto begin = std::chrono::steady_clock::now();
-        ownBitmaps_ = workload_.image->buildBitmaps(striping());
-        opts_.prepared.layoutMs = msSince(begin);
-    }
-    if (!extPins_ && sys.hdc.enabled() &&
-        sys.hdc.policy == HdcPolicy::Oracle) {
-        const auto begin = std::chrono::steady_clock::now();
-        ownPins_ = selectPinnedBlocks(theTrace(), striping(),
+        ownPins_ = selectPinnedBlocks(*trace_, sys.striping(),
                                       hdcBlocksPerDisk(sys));
-        opts_.prepared.planMs = msSince(begin);
+        opts_.prepared.planMs =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - begin)
+                .count();
     }
 
-    // Output destinations the caller did not set fluently come from
-    // the configuration's run.* group, like the CLI always honoured.
+    // Output destinations the caller did not set come from the
+    // configuration's run.* group, like the CLI always honoured.
     if (!opts_.stats.enabled() && !cfg_.output.statsOut.empty())
         opts_.stats = StatsSink::file(cfg_.output.statsOut);
     if (opts_.tracePath.empty())
@@ -201,34 +146,18 @@ const Trace&
 Experiment::trace()
 {
     prepare();
-    return theTrace();
-}
-
-const std::vector<LayoutBitmap>&
-Experiment::layoutBitmaps()
-{
-    prepare();
-    if (extBitmaps_)
-        return *extBitmaps_;
-    if (ownBitmaps_.empty() && workload_.image)
-        ownBitmaps_ = workload_.image->buildBitmaps(striping());
-    return ownBitmaps_;
+    return *trace_;
 }
 
 RunResult
 Experiment::run()
 {
     prepare();
-    const std::vector<LayoutBitmap>& bm =
-        extBitmaps_ ? *extBitmaps_ : ownBitmaps_;
-    const std::vector<ArrayBlock>& pins = extPins_ ? *extPins_ : ownPins_;
-    RunOptions opts = opts_;
-    // The fs-stats pointer is resolved late so opts_ never holds a
-    // pointer into this Experiment (which would dangle on move).
-    if (!opts.fsStats && workload_.hasFsStats)
-        opts.fsStats = &workload_.fsStats;
-    return runTrace(cfg_.system, theTrace(), opts,
-                    bm.empty() ? nullptr : &bm,
+    // ownPins_ is read here, not through pins_, so a moved
+    // Experiment never reads its old self.
+    const std::vector<ArrayBlock>& pins = pins_ ? *pins_ : ownPins_;
+    return runTrace(cfg_.system, *trace_, opts_,
+                    bitmaps_ && !bitmaps_->empty() ? bitmaps_ : nullptr,
                     pins.empty() ? nullptr : &pins);
 }
 

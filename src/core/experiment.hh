@@ -2,36 +2,33 @@
  * @file
  * Experiment: the one front door for running a simulation.
  *
- * Every run used to be assembled by hand from the same parts --
- * applyModelStreams(), validateConfig(), buildWorkload(), FOR layout
- * bitmaps, the HDC pin plan, RunOptions -- and the CLI, the sweep
- * driver, the benches, and the examples each repeated the ritual with
- * slight variations. An Experiment owns the whole setup behind a
- * fluent interface and a single run():
+ * An Experiment owns the whole setup of a run -- the server model's
+ * stream count, validation, the workload, FOR layout bitmaps, the HDC
+ * pin plan, RunOptions -- behind a fluent interface and a single
+ * run():
  *
  *     RunResult r = Experiment(sim).run();
  *
- *     Experiment e(base);                    // bench-style replay
- *     e.kind(SystemKind::FOR)
- *      .hdc(hdc_spec)
- *      .replay(trace)
- *      .bitmaps(bitmaps);
+ *     Experiment e(sys);                     // replay a given trace
+ *     e.replay(trace).bitmaps(bitmaps);
  *     RunResult r = e.run();
  *
  * Two input modes:
  *
  *  - **Built** (default): prepare() applies the server model's stream
  *    count, validates the full configuration (fatal on errors), and
- *    builds the workload the config asks for. FOR bitmaps and the
- *    oracle-policy HDC pin plan are derived automatically.
+ *    takes the workload, the FOR bitmaps and the oracle-policy pin
+ *    plan from a SweepCache (core/sweep_driver.hh): its own, or a
+ *    sweep's passed to the constructor, so grid points share builds.
+ *    The "# runtime:" line reports the builds this run triggered.
  *
  *  - **Replay** (replay() called): the caller supplies the trace, and
- *    usually the bitmaps, directly; no workload build and no full
- *    config validation, matching the direct runTrace() path the
- *    benches always used.
+ *    for FOR the bitmaps; no workload build and no full config
+ *    validation. Under the oracle policy with no pins() given,
+ *    prepare() plans pins over the supplied trace.
  *
- * Output destinations default from config().output and can be
- * overridden fluently (statsTo / traceTo / statsEvery). Batches of
+ * Output destinations come from config().output; statsTo() and
+ * options() can pass a borrowed stream instead. Batches of
  * Experiments run concurrently on runAll()'s worker pool, with results
  * bit-identical to calling run() on each in order.
  */
@@ -40,6 +37,7 @@
 #define DTSIM_CORE_EXPERIMENT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,22 +62,22 @@ class Experiment
      */
     explicit Experiment(const SystemConfig& sys);
 
-    /** Move-only: prepared state may be large (the built workload). */
+    /**
+     * A built experiment that takes its workload, bitmaps and pin
+     * plan from `cache`, which must outlive it (a sweep passes one
+     * cache to all its points).
+     */
+    Experiment(SimulationConfig sim, SweepCache& cache);
+
+    /** Move-only: it may own its cache (the built workload). */
     Experiment(Experiment&&) = default;
     Experiment& operator=(Experiment&&) = default;
     Experiment(const Experiment&) = delete;
     Experiment& operator=(const Experiment&) = delete;
 
-    /** @name Fluent system knobs (call before prepare()/run()). */
-    ///@{
-
-    /** Set the system kind under test. */
-    Experiment& kind(SystemKind k);
-
     /** Set the full typed HDC host-policy spec (hdc.*). */
     Experiment& hdc(const HdcSpec& spec);
 
-    ///@}
     /** @name Inputs. */
     ///@{
 
@@ -92,9 +90,8 @@ class Experiment
     Experiment& replay(const Trace& t);
 
     /**
-     * Use these FOR layout bitmaps instead of deriving them from the
-     * built workload's file-system image; must outlive the
-     * Experiment. Required for FOR runs in replay mode.
+     * Use these FOR layout bitmaps instead of the cache's; must
+     * outlive the Experiment. Required for FOR runs in replay mode.
      */
     Experiment& bitmaps(const std::vector<LayoutBitmap>& bm);
 
@@ -117,21 +114,9 @@ class Experiment
     /** @name Outputs (default from config().output). */
     ///@{
 
-    /** Send the stats dump/snapshots to `sink`. */
+    /** Send the stats dump/snapshots to `sink` (e.g. a borrowed
+     *  stream) instead of config().output's stats file. */
     Experiment& statsTo(StatsSink sink);
-
-    /** Write one sampled record per completed request to `path`. */
-    Experiment& traceTo(std::string path);
-
-    /**
-     * Stream framed live stat snapshots to `path` every `interval`
-     * simulated ticks (0 = inherit statsEvery / the config's
-     * run.stats_interval_ticks); see docs/OBSERVABILITY.md.
-     */
-    Experiment& streamTo(std::string path, Tick interval = 0);
-
-    /** Snapshot stats every `interval` ticks (0 = final dump only). */
-    Experiment& statsEvery(Tick interval);
 
     /**
      * Use this pre-rendered effective-config header; when unset,
@@ -153,23 +138,16 @@ class Experiment
     const RunOptions& runOptions() const { return opts_; }
 
     /**
-     * Resolve the experiment: validate and build the workload (built
-     * mode), derive bitmaps/pins, and fill output options from
-     * config().output. Idempotent; run() calls it automatically.
-     * fatal()s on an invalid configuration.
+     * Resolve the experiment: validate and take the workload, bitmaps
+     * and pins from the cache (built mode), plan pins over a replayed
+     * trace, and fill output options from config().output.
+     * Idempotent; run() calls it automatically. fatal()s on an
+     * invalid configuration.
      */
     void prepare();
 
     /** The trace this experiment replays (prepares if needed). */
     const Trace& trace();
-
-    /**
-     * The FOR layout bitmaps of this experiment's image and striping,
-     * built on demand even for non-FOR systems so a prepared workload
-     * can be shared with a FOR variant (prepares if needed; empty
-     * when there is no file-system image).
-     */
-    const std::vector<LayoutBitmap>& layoutBitmaps();
 
     /** Execute the experiment (prepares if needed). */
     RunResult run();
@@ -189,18 +167,19 @@ class Experiment
                                          unsigned threads = 0);
 
   private:
-    const Trace& theTrace() const;
-    StripingMap striping() const;
-
     SimulationConfig cfg_;
     RunOptions opts_;
 
-    const Trace* extTrace_ = nullptr;
-    const std::vector<LayoutBitmap>* extBitmaps_ = nullptr;
-    const std::vector<ArrayBlock>* extPins_ = nullptr;
+    /** Built mode's source of inputs: a sweep's cache, or ownCache_,
+     *  which prepare() creates when none was given. */
+    SweepCache* cache_ = nullptr;
+    std::unique_ptr<SweepCache> ownCache_;
 
-    BuiltWorkload workload_;
-    std::vector<LayoutBitmap> ownBitmaps_;
+    const Trace* trace_ = nullptr;
+    const std::vector<LayoutBitmap>* bitmaps_ = nullptr;
+    const std::vector<ArrayBlock>* pins_ = nullptr;
+
+    /** Replay mode's oracle plan over the supplied trace. */
     std::vector<ArrayBlock> ownPins_;
     bool prepared_ = false;
 };

@@ -2,11 +2,10 @@
  * @file
  * The internal run engine behind the Experiment facade.
  *
- * Not part of the public surface: only experiment.cc and the sweep
- * worker pool (sweep.cc) may call runTrace() directly. Everything
- * else -- CLI, benches, tests, examples -- goes through Experiment
- * (core/experiment.hh), which owns the setup ritual and forwards
- * here.
+ * Not part of the public surface: only experiment.cc calls
+ * runTrace(). Everything else -- CLI, sweeps, benches, tests,
+ * examples -- goes through Experiment (core/experiment.hh), which
+ * owns the setup ritual and forwards here.
  */
 
 #ifndef DTSIM_CORE_RUN_IMPL_HH

@@ -1,8 +1,8 @@
 #include "core/sweep_driver.hh"
 
+#include <chrono>
 #include <utility>
 
-#include "array/striping.hh"
 #include "core/experiment.hh"
 #include "hdc/hdc_planner.hh"
 #include "sim/logging.hh"
@@ -32,6 +32,19 @@ arrayCapacityBlocks(const SimulationConfig& sim)
     // Mirroring halves the addressable capacity: logical blocks live
     // on the striped half, the other half replicates them.
     return logicalDisks(sim.system) * sim.system.disk.totalBlocks();
+}
+
+/** Run `build`, adding its host wall time to `ms`. */
+template <typename Build>
+auto
+timed(double& ms, Build build)
+{
+    const auto begin = std::chrono::steady_clock::now();
+    auto out = build();
+    ms += std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - begin)
+              .count();
+    return out;
 }
 
 } // namespace
@@ -77,21 +90,21 @@ SweepCache::workloadKey(const SimulationConfig& sim)
 }
 
 BuiltWorkload&
-SweepCache::workload(const SimulationConfig& sim)
+SweepCache::workload(const SimulationConfig& sim, PreparePhases& phases)
 {
     const std::string key = workloadKey(sim);
     auto it = workloads_.find(key);
     if (it == workloads_.end()) {
-        it = workloads_
-                 .emplace(key, std::make_unique<BuiltWorkload>(
-                                   buildWorkload(sim)))
-                 .first;
+        auto built = timed(phases.workloadMs, [&] {
+            return std::make_unique<BuiltWorkload>(buildWorkload(sim));
+        });
+        it = workloads_.emplace(key, std::move(built)).first;
     }
     return *it->second;
 }
 
 const std::vector<LayoutBitmap>&
-SweepCache::bitmaps(const SimulationConfig& sim)
+SweepCache::bitmaps(const SimulationConfig& sim, PreparePhases& phases)
 {
     const SystemConfig& sys = sim.system;
     const std::string key =
@@ -100,22 +113,18 @@ SweepCache::bitmaps(const SimulationConfig& sim)
         "|unit=" + std::to_string(sys.stripeUnitBytes);
     auto it = bitmaps_.find(key);
     if (it == bitmaps_.end()) {
-        BuiltWorkload& w = workload(sim);
-        auto built = std::make_unique<std::vector<LayoutBitmap>>();
-        if (w.image) {
-            StripingMap striping(
-                logicalDisks(sys),
-                sys.stripeUnitBytes / sys.disk.blockSize,
-                sys.disk.totalBlocks());
-            *built = w.image->buildBitmaps(striping);
-        }
+        const BuiltWorkload& w = workload(sim, phases);
+        auto built = timed(phases.layoutMs, [&] {
+            return std::make_unique<std::vector<LayoutBitmap>>(
+                w.image->buildBitmaps(sys.striping()));
+        });
         it = bitmaps_.emplace(key, std::move(built)).first;
     }
     return *it->second;
 }
 
 const std::vector<ArrayBlock>&
-SweepCache::pins(const SimulationConfig& sim)
+SweepCache::pins(const SimulationConfig& sim, PreparePhases& phases)
 {
     const SystemConfig& sys = sim.system;
     const std::string key =
@@ -125,21 +134,19 @@ SweepCache::pins(const SimulationConfig& sim)
         std::to_string(hdcBlocksPerDisk(sys));
     auto it = pins_.find(key);
     if (it == pins_.end()) {
-        BuiltWorkload& w = workload(sim);
-        StripingMap striping(
-            logicalDisks(sys),
-            sys.stripeUnitBytes / sys.disk.blockSize,
-            sys.disk.totalBlocks());
-        auto built = std::make_unique<std::vector<ArrayBlock>>(
-            selectPinnedBlocks(w.trace, striping,
-                               hdcBlocksPerDisk(sys)));
+        const BuiltWorkload& w = workload(sim, phases);
+        auto built = timed(phases.planMs, [&] {
+            return std::make_unique<std::vector<ArrayBlock>>(
+                selectPinnedBlocks(w.trace, sys.striping(),
+                                   hdcBlocksPerDisk(sys)));
+        });
         it = pins_.emplace(key, std::move(built)).first;
     }
     return *it->second;
 }
 
 std::vector<RunResult>
-runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
+runSweepPoints(const std::vector<SweepPoint>& points, SweepCache& cache,
                unsigned jobs)
 {
     std::vector<Experiment> batch;
@@ -147,39 +154,14 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
     batch.reserve(points.size());
 
     for (std::size_t i = 0; i < points.size(); ++i) {
-        SweepPoint& p = points[i];
+        const SweepPoint& p = points[i];
         if (!p.feasible) {
             warn("sweep point %zu skipped: %s", i,
                  p.whyNot.c_str());
             continue;
         }
-        applyModelStreams(p.cfg);
-
-        BuiltWorkload& w = cache.workload(p.cfg);
-
-        Experiment e(p.cfg);
-        e.replay(w.trace);
-        if (p.cfg.system.kind == SystemKind::FOR) {
-            const std::vector<LayoutBitmap>& bm = cache.bitmaps(p.cfg);
-            if (bm.empty()) {
-                p.feasible = false;
-                p.whyNot = "FOR needs a file-system image for its "
-                           "layout bitmaps";
-                warn("sweep point %zu skipped: %s", i,
-                     p.whyNot.c_str());
-                continue;
-            }
-            e.bitmaps(bm);
-        }
-        if (p.cfg.system.hdc.enabled() &&
-            p.cfg.system.hdc.policy == HdcPolicy::Oracle) {
-            e.pins(cache.pins(p.cfg));
-        }
-        if (w.hasFsStats)
-            e.fsStats(w.fsStats);
-
         batch_point.push_back(i);
-        batch.push_back(std::move(e));
+        batch.emplace_back(p.cfg, cache);
     }
 
     const std::vector<RunResult> ran =
@@ -192,7 +174,7 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
 }
 
 std::vector<RunResult>
-runSweepPoints(std::vector<SweepPoint>& points, unsigned jobs)
+runSweepPoints(const std::vector<SweepPoint>& points, unsigned jobs)
 {
     SweepCache cache;
     return runSweepPoints(points, cache, jobs);

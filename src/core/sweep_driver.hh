@@ -1,16 +1,16 @@
 /**
  * @file
- * Configuration-driven experiment driver: turn SimulationConfigs /
- * expanded SweepSpec grids into built workloads, FOR bitmaps, HDC pin
- * plans, and parallel runTrace() executions.
+ * Configuration-driven experiment driver: the one derivation of a
+ * run's inputs (built workload, FOR layout bitmaps, oracle HDC pin
+ * plan) and the runner for expanded SweepSpec grids.
  *
- * This is the layer that makes sweeps data-driven: the CLI's --sweep
- * and --system all modes, every bench that replays a workload, and the
- * shipped sweep .conf files in examples/ all expand to SweepPoints and
- * run through runSweepPoints(). Workloads, bitmaps, and pin plans are
- * deduplicated across grid points (a striping sweep builds its server
- * workload once), and every run's outputs begin with its own
- * effective-config header.
+ * SweepCache is the only code that builds workloads, bitmaps and pin
+ * plans: a built Experiment takes them from its own cache or from a
+ * sweep's. runSweepPoints() turns each feasible point into such an
+ * Experiment over one shared cache, so a striping sweep builds its
+ * server workload once; the CLI's --sweep and --system all modes,
+ * every bench that replays a workload, and the shipped sweep .conf
+ * files in examples/ all run through it.
  */
 
 #ifndef DTSIM_CORE_SWEEP_DRIVER_HH
@@ -61,22 +61,27 @@ void applyModelStreams(SimulationConfig& sim);
  * Workload/bitmap/pin-plan cache shared across the runs of a sweep.
  * Keyed on the workload- and layout-relevant parameter groups, so
  * grid points differing only in controller policy share one build.
- * Not thread-safe; build happens on the calling thread (generation
- * is deterministic, so results never depend on sharing).
+ * Each accessor adds the host time of a build it runs to `phases`
+ * (a cache hit adds nothing), so the run that triggered a build
+ * reports its cost. Not thread-safe; builds happen on the calling
+ * thread (generation is deterministic, so results never depend on
+ * sharing).
  */
 class SweepCache
 {
   public:
     /** The built workload for `sim` (built on first use). */
-    BuiltWorkload& workload(const SimulationConfig& sim);
+    BuiltWorkload& workload(const SimulationConfig& sim,
+                            PreparePhases& phases);
 
-    /** Per-disk FOR bitmaps for `sim`'s striping (may be empty when
-     *  the workload has no file-system image). */
+    /** Per-disk FOR bitmaps of `sim`'s workload image under its
+     *  striping. */
     const std::vector<LayoutBitmap>&
-    bitmaps(const SimulationConfig& sim);
+    bitmaps(const SimulationConfig& sim, PreparePhases& phases);
 
     /** The HDC warm-start pin plan for `sim`. */
-    const std::vector<ArrayBlock>& pins(const SimulationConfig& sim);
+    const std::vector<ArrayBlock>& pins(const SimulationConfig& sim,
+                                        PreparePhases& phases);
 
   private:
     std::string workloadKey(const SimulationConfig& sim);
@@ -92,20 +97,21 @@ class SweepCache
  * Run every feasible point of an expanded sweep through the parallel
  * sweep runner (thread count: `jobs`, 0 = DTSIM_JOBS). Results come
  * back in point order; infeasible points get a default RunResult and
- * a warn(). Each point's cfg gets applyModelStreams() applied, its
- * output files are taken from cfg.output, and its stats/trace outputs
- * begin with the point's own effective-config header.
+ * a warn(). Each feasible point runs as a built Experiment over
+ * `cache`, so its outputs are taken from cfg.output, begin with the
+ * point's own effective-config header, and report the builds it
+ * triggered on the "# runtime:" line.
  *
  * Results are bit-identical to running each point alone: jobs only
  * share the immutable trace/bitmap/pin inputs.
  */
-std::vector<RunResult> runSweepPoints(std::vector<SweepPoint>& points,
-                                      SweepCache& cache,
-                                      unsigned jobs = 0);
+std::vector<RunResult>
+runSweepPoints(const std::vector<SweepPoint>& points, SweepCache& cache,
+               unsigned jobs = 0);
 
 /** Convenience overload with a throwaway cache. */
-std::vector<RunResult> runSweepPoints(std::vector<SweepPoint>& points,
-                                      unsigned jobs = 0);
+std::vector<RunResult>
+runSweepPoints(const std::vector<SweepPoint>& points, unsigned jobs = 0);
 
 } // namespace dtsim
 

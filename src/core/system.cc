@@ -67,4 +67,12 @@ SystemConfig::arrayConfig() const
     return a;
 }
 
+StripingMap
+SystemConfig::striping() const
+{
+    return StripingMap(logicalDisks(*this),
+                       stripeUnitBytes / disk.blockSize,
+                       disk.totalBlocks());
+}
+
 } // namespace dtsim

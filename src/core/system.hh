@@ -78,6 +78,12 @@ struct SystemConfig
 
     /** The array configuration this system implies. */
     ArrayConfig arrayConfig() const;
+
+    /**
+     * The logical-block striping this system lays files out under:
+     * the input to FOR layout bitmaps and the oracle pin plan.
+     */
+    StripingMap striping() const;
 };
 
 /**

@@ -208,7 +208,7 @@ enum class Extra { None, Trace, Stream };
 
 /**
  * One figure/ablation-shaped configuration. The workload is built
- * through the facade (trace, FOR bitmaps) and replayed once with the
+ * by a SweepCache (trace, FOR bitmaps) and replayed once with the
  * stats dump captured.
  */
 struct DeterminismCase
@@ -216,7 +216,7 @@ struct DeterminismCase
     const char* name;
     std::function<SimulationConfig()> config;
     Extra extra = Extra::None;
-    Tick statsEvery = 0;
+    Tick statsIntervalTicks = 0;
     /** A substring the dump must contain (the coupling really ran). */
     const char* mustContain = "sim.io_time_ms";
 };
@@ -356,22 +356,25 @@ TEST_P(SerialDeterminism, MatchesGolden)
 {
     const DeterminismCase& c = GetParam();
     const SimulationConfig sim = c.config();
-    Experiment built(sim);
+    SweepCache cache;
+    PreparePhases phases;
     const ScratchDir scratch;
     const std::string side = scratch.file("run");
 
     std::ostringstream os;
     Experiment e(sim.system);
-    e.replay(built.trace());
+    e.replay(cache.workload(sim, phases).trace);
     if (sim.system.kind == SystemKind::FOR)
-        e.bitmaps(built.layoutBitmaps());
+        e.bitmaps(cache.bitmaps(sim, phases));
     e.statsTo(StatsSink::stream(os));
-    if (c.statsEvery > 0)
-        e.statsEvery(c.statsEvery);
+    OutputConfig& out = e.config().output;
+    out.statsIntervalTicks = c.statsIntervalTicks;
     if (c.extra == Extra::Trace)
-        e.traceTo(side);
-    if (c.extra == Extra::Stream)
-        e.streamTo(side, 250 * kMsec);
+        out.trace = side;
+    if (c.extra == Extra::Stream) {
+        out.stream.path = side;
+        out.stream.intervalTicks = 250 * kMsec;
+    }
     e.run();
 
     const std::string dump =

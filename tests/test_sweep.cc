@@ -2,13 +2,22 @@
  * @file
  * Tests for the parallel sweep pool: Experiment::runAll() must return
  * results bit-identical to running each experiment alone, at any
- * thread count.
+ * thread count. Also tests the one derivation of a run's inputs: a
+ * sweep's shared SweepCache builds each workload, bitmap set and pin
+ * plan once, charges each build to the point that triggered it, and
+ * gives a sweep point the same dump as a built Experiment.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/sweep.hh"
@@ -84,11 +93,7 @@ class SweepTest : public ::testing::Test
             cfg.streams = params.streams;
             cfg.stripeUnitBytes = units_kb[i] * kKiB;
 
-            StripingMap striping(
-                cfg.disks, cfg.stripeUnitBytes / cfg.disk.blockSize,
-                cfg.disk.totalBlocks());
-            bitmaps_[i] =
-                workload_.image->buildBitmaps(striping);
+            bitmaps_[i] = workload_.image->buildBitmaps(cfg.striping());
 
             ReplayJob segm{cfg};
             segm.cfg.kind = SystemKind::Segm;
@@ -100,16 +105,11 @@ class SweepTest : public ::testing::Test
         }
 
         // One HDC job so pin-plan wiring is covered too.
-        StripingMap striping(
-            proto.disks,
-            proto.stripeUnitBytes / proto.disk.blockSize,
-            proto.disk.totalBlocks());
         ReplayJob hdc{proto};
         hdc.cfg.streams = params.streams;
         hdc.cfg.hdc.budgetBytesPerDisk = 1 * kMiB;
-        pinned_ = selectPinnedBlocks(
-            workload_.trace, striping,
-            hdcBlocksPerDisk(hdc.cfg));
+        pinned_ = selectPinnedBlocks(workload_.trace, proto.striping(),
+                                     hdcBlocksPerDisk(hdc.cfg));
         hdc.pinned = &pinned_;
         jobs_.push_back(hdc);
     }
@@ -186,6 +186,93 @@ TEST(Sweep, JobsEnvOverridesThreadCount)
     EXPECT_GE(sweepJobs(), 1u);
     unsetenv("DTSIM_JOBS");
     EXPECT_GE(sweepJobs(), 1u);
+}
+
+/** The indices of the results whose `phase` time is nonzero. */
+std::vector<std::size_t>
+pointsThatBuilt(const std::vector<RunResult>& results,
+                double PreparePhases::*phase)
+{
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < results.size(); ++i)
+        if (results[i].prepared.*phase > 0.0)
+            out.push_back(i);
+    return out;
+}
+
+TEST(SweepCachePhases, EachBuildIsChargedToThePointThatRanIt)
+{
+    SweepSpec spec;
+    spec.base.synthetic.numRequests = 400;
+    spec.base.synthetic.numFiles = 2000;
+    spec.base.system.streams = 8;
+    spec.base.system.hdc.policy = HdcPolicy::Oracle;
+    spec.axes = {{"system.kind", {"segm", "for"}},
+                 {"hdc.budget_bytes_per_disk", {"0", "1048576"}}};
+    std::string err;
+    std::vector<SweepPoint> points = expandSweep(spec, err);
+    ASSERT_EQ(points.size(), 4u) << err;
+
+    // Grid order: Segm, Segm+HDC, FOR, FOR+HDC. The first point builds
+    // the workload, the first HDC point the pin plan, the first FOR
+    // point the bitmaps; every later point hits the cache.
+    SweepCache cache;
+    const std::vector<RunResult> r = runSweepPoints(points, cache, 2);
+    ASSERT_EQ(r.size(), 4u);
+    EXPECT_EQ(pointsThatBuilt(r, &PreparePhases::workloadMs),
+              std::vector<std::size_t>{0});
+    EXPECT_EQ(pointsThatBuilt(r, &PreparePhases::planMs),
+              std::vector<std::size_t>{1});
+    EXPECT_EQ(pointsThatBuilt(r, &PreparePhases::layoutMs),
+              std::vector<std::size_t>{2});
+}
+
+/** `path`'s text without the "# runtime:" and run.stats_out lines. */
+std::string
+comparableDump(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream out;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# runtime:", 0) == 0 ||
+            line.rfind("#conf run.stats_out", 0) == 0)
+            continue;
+        out << line << "\n";
+    }
+    return out.str();
+}
+
+TEST(SweepDriver, OnePointSweepWritesTheBuiltExperimentsDump)
+{
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       "dtsim_sweep_dump.XXXXXX")
+                          .string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+
+    // A server workload under FOR and oracle HDC, so the workload's
+    // buffer-cache stats, the bitmaps and the pin plan all take part.
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 0.005;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.stripeUnitBytes = 16 * kKiB;
+    sim.system.hdc.budgetBytesPerDisk = 1 * kMiB;
+
+    SimulationConfig built = sim;
+    built.output.statsOut = dir + "/built.txt";
+    Experiment(built).run();
+
+    SweepPoint point;
+    point.cfg = sim;
+    point.cfg.output.statsOut = dir + "/swept.txt";
+    runSweepPoints({point}, 1);
+
+    const std::string want = comparableDump(dir + "/built.txt");
+    EXPECT_NE(want.find("sim.fs.read_lookups"), std::string::npos);
+    EXPECT_NE(want.find("#conf system.kind = for"), std::string::npos);
+    EXPECT_EQ(comparableDump(dir + "/swept.txt"), want);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

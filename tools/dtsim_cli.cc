@@ -504,9 +504,7 @@ main(int argc, char** argv)
     // Replay of a saved trace: no workload build, no image, so FOR
     // (which needs layout bitmaps) is unavailable.
     if (!load_trace.empty()) {
-        const std::vector<std::string> errs = validateConfig(sim);
-        if (!errs.empty())
-            fatal("invalid configuration: %s", errs.front().c_str());
+        requireValidConfig(sim);
         if (sim.system.kind == SystemKind::FOR)
             fatal("FOR needs a file-system image; loaded traces "
                   "carry none (use --workload instead)");
